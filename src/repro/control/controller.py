@@ -21,11 +21,33 @@ from ..machine import ActuatorBank, ActuatorSettings
 from .statespace import StateSpace
 from .synthesis import DesignedController
 
-__all__ = ["MatrixController"]
+__all__ = ["ControllerFleet", "MatrixController", "fixed_order_matvec"]
+
+
+def fixed_order_matvec(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``matrix @ x`` over the last axis of ``x``, summed left to right.
+
+    ``x`` is ``(..., n)`` and ``matrix`` ``(m, n)``; the result is
+    ``(..., m)`` with ``out[i] = (((M[i,0]*x[0] + M[i,1]*x[1]) + M[i,2]*x[2])
+    + ...)``.  The products are elementwise and ``np.add.accumulate`` is a
+    sequential scan by definition, so one session's row comes out the same
+    whether it is stepped alone or inside a fleet of any size.  BLAS
+    (``@``), ``np.sum``/``add.reduce`` (pairwise, unrolled for n >= 8),
+    ``math.fsum`` and compensated ``sum`` would each round differently.
+    """
+    return np.add.accumulate(x[..., None, :] * matrix, axis=-1)[..., -1]
 
 
 class MatrixController:
-    """Deployable controller instance for one machine."""
+    """Deployable controller instance for one machine.
+
+    The mutable state lives in small arrays written in place: the estimator
+    state ``_x_pred``, the applied centered input ``_u_applied``, the
+    integrator ``_z`` (one element) and the diagnostic ``_counts``.  A
+    :class:`ControllerFleet` rebinds them to rows of its fleet arrays, so
+    the fleet step and this controller's own :meth:`step` read and write
+    the same storage.
+    """
 
     #: Default command center: maximum frequency, no idle injection, a low
     #: balloon duty.  The LQR cost penalizes deviations of the command from
@@ -51,18 +73,25 @@ class MatrixController:
         )
         self._y_scale = plant.y_scale_w
         self._input_signs = plant.input_power_signs()
-        self._x_pred = np.zeros(design.plant_ss.n_states)
-        self._z = 0.0
-        #: Centered command applied during the interval being measured.
-        self._u_applied = np.zeros(design.plant_ss.n_inputs)
-        # Plain-int diagnostic counters.  Telemetry reads these through
+        # Plain-int diagnostic counters (sat_hi, sat_lo, aw, saturation
+        # steps, anti-windup steps).  Telemetry reads them through
         # Defense.diagnostics(); the controller itself never touches the
         # telemetry package (the out-of-band invariant, MAYA032).
-        self.last_sat_hi = 0
-        self.last_sat_lo = 0
-        self.last_antiwindup = 0
-        self.saturation_steps = 0
-        self.antiwindup_steps = 0
+        self._bind(
+            np.zeros(design.plant_ss.n_states),
+            np.zeros(design.plant_ss.n_inputs),
+            np.zeros(1),
+            np.zeros(5, dtype=np.int64),
+            fleet=None,
+        )
+
+    def _bind(self, x_pred, u_applied, z, counts, fleet) -> None:
+        self._x_pred = x_pred
+        #: Centered command applied during the interval being measured.
+        self._u_applied = u_applied
+        self._z = z
+        self._counts = counts
+        self._fleet = fleet
 
     @property
     def interval_s(self) -> float:
@@ -71,17 +100,13 @@ class MatrixController:
     @property
     def state_vector(self) -> np.ndarray:
         """The Equation-1 state x(T): estimator states plus integrator."""
-        return np.concatenate([self._x_pred, [self._z]])
+        return np.concatenate([self._x_pred, self._z])
 
     def reset(self) -> None:
-        self._x_pred = np.zeros_like(self._x_pred)
-        self._z = 0.0
-        self._u_applied = np.zeros_like(self._u_applied)
-        self.last_sat_hi = 0
-        self.last_sat_lo = 0
-        self.last_antiwindup = 0
-        self.saturation_steps = 0
-        self.antiwindup_steps = 0
+        self._x_pred[:] = 0.0
+        self._z[:] = 0.0
+        self._u_applied[:] = 0.0
+        self._counts[:] = 0
 
     def diagnostics(self) -> dict:
         """Last-step saturation/anti-windup state plus cumulative counts.
@@ -90,12 +115,15 @@ class MatrixController:
         upper/lower rail by the last :meth:`step`; ``aw`` is 1 when that
         step froze the integrator (conditional integration engaged).
         """
+        sat_hi, sat_lo, antiwindup, saturation_steps, antiwindup_steps = (
+            self._counts.tolist()
+        )
         return {
-            "sat_hi": self.last_sat_hi,
-            "sat_lo": self.last_sat_lo,
-            "aw": self.last_antiwindup,
-            "saturation_steps": self.saturation_steps,
-            "antiwindup_steps": self.antiwindup_steps,
+            "sat_hi": sat_hi,
+            "sat_lo": sat_lo,
+            "aw": antiwindup,
+            "saturation_steps": saturation_steps,
+            "antiwindup_steps": antiwindup_steps,
         }
 
     def step(self, target_w: float, measured_w: float) -> ActuatorSettings:
@@ -108,6 +136,9 @@ class MatrixController:
         """
         design = self.design
         plant_ss = design.plant_ss
+        x_pred = self._x_pred
+        u_applied = self._u_applied
+        z = self._z
         error = (target_w - measured_w) / self._y_scale
 
         # Measurement update.  The estimator tracks the deviation of power
@@ -115,106 +146,46 @@ class MatrixController:
         # previously applied (saturated, quantized) command — using that
         # true input is the anti-windup path.
         y_meas_dev = -error
-        y_pred = float((plant_ss.c @ self._x_pred + plant_ss.d @ self._u_applied)[0])
+        y_pred = (
+            fixed_order_matvec(plant_ss.c, x_pred)[0]
+            + fixed_order_matvec(plant_ss.d, u_applied)[0]
+        )
         innovation = y_meas_dev - y_pred
-        x_filt = self._x_pred + design.m_gain[:, 0] * innovation
+        x_filt = x_pred + design.m_gain[:, 0] * innovation
 
         # Time update to the start of the next interval.
-        self._x_pred = plant_ss.a @ x_filt + plant_ss.b @ self._u_applied
+        x_pred[:] = fixed_order_matvec(plant_ss.a, x_filt) + fixed_order_matvec(
+            plant_ss.b, u_applied
+        )
 
         # Conditional integration: freeze when all inputs are already
         # pinned at the limit that moves power in the demanded direction.
-        u_prev_norm = self._u_applied + self._u_op
+        u_prev_norm = u_applied + self._u_op
         frozen = self._saturated_towards(error, u_prev_norm)
         if not frozen:
-            self._z += error
+            z += error
 
         # Command for the next interval.  Feedback acts in deviations; the
         # command is centered on the performance-preferring point, and the
         # integrator absorbs the resulting constant offset.
-        u_centered = -(design.k_x @ self._x_pred) - design.k_z[:, 0] * self._z
+        u_centered = -fixed_order_matvec(design.k_x, x_pred) - design.k_z[:, 0] * z
         u_norm = u_centered + self._u_center
-        self.last_sat_hi = int(np.count_nonzero(u_norm > 1.0))
-        self.last_sat_lo = int(np.count_nonzero(u_norm < 0.0))
-        self.last_antiwindup = int(frozen)
-        if self.last_sat_hi or self.last_sat_lo:
-            self.saturation_steps += 1
-        self.antiwindup_steps += self.last_antiwindup
-        settings = self.bank.quantize_normalized(np.clip(u_norm, 0.0, 1.0))
+        commands = u_norm.tolist()
+        sat_hi = sum(command > 1.0 for command in commands)
+        sat_lo = sum(command < 0.0 for command in commands)
+        counts = self._counts
+        counts[0] = sat_hi
+        counts[1] = sat_lo
+        counts[2] = frozen
+        counts[3] += bool(sat_hi or sat_lo)
+        counts[4] += frozen
+        index = self.bank.quantize_index(
+            [min(max(command, 0.0), 1.0) for command in commands]
+        )
         # The estimator's model coordinates stay centered on the
         # identification operating point.
-        self._u_applied = self.bank.normalize(settings) - self._u_op
-        return settings
-
-    @staticmethod
-    def step_fleet(controllers: "list[MatrixController]", targets_w, measured_w) -> list:
-        """Fast-tier :meth:`step` for a fleet sharing one design.
-
-        Stacks the per-controller states into ``(B, n)`` matrices and runs
-        the Equation-1 updates as whole-fleet BLAS matmuls instead of B
-        per-session matvecs.  This deliberately reassociates the inner
-        dot-product accumulations, so fleet results are *not* bit-identical
-        to :meth:`step` — the drift is bounded by the matmul sites
-        certified in ``certs/numeric/repro.control.controller.json`` and
-        re-measured at runtime by the equivalence certificate (``settings``
-        field; a saturation/quantization knife-edge flip exceeds the bound
-        and fails the run loudly).  Everything else — the anti-windup
-        freeze test, clipping, quantization, the applied-input writeback —
-        replays the serial expressions elementwise.
-        """
-        design = controllers[0].design
-        for controller in controllers:
-            if controller.design is not design:
-                raise ValueError("step_fleet requires a shared controller design")
-        plant_ss = design.plant_ss
-        head = controllers[0]
-
-        x_pred = np.stack([c._x_pred for c in controllers])        # (B, n)
-        u_applied = np.stack([c._u_applied for c in controllers])  # (B, m)
-        z = np.array([c._z for c in controllers])                  # (B,)
-        error = (np.asarray(targets_w, dtype=float)
-                 - np.asarray(measured_w, dtype=float)) / head._y_scale
-
-        # Measurement update (one (B,n)·(n,) matmul per term).
-        y_meas_dev = -error
-        y_pred = x_pred @ plant_ss.c[0] + u_applied @ plant_ss.d[0]
-        innovation = y_meas_dev - y_pred
-        x_filt = x_pred + design.m_gain[:, 0][None, :] * innovation[:, None]
-
-        # Time update: the (B,n)·(n,n) / (B,m)·(m,n) fleet matmul.
-        x_pred = x_filt @ plant_ss.a.T + u_applied @ plant_ss.b.T
-
-        # Conditional integration, vectorized over the fleet with the
-        # exact comparisons of _saturated_towards.
-        u_prev_norm = u_applied + head._u_op
-        signs = np.asarray(head._input_signs, dtype=float)
-        directions = np.sign(error)[:, None] * np.where(signs.astype(bool), signs, 1.0)[None, :]
-        railed = np.where(directions > 0, u_prev_norm >= 1.0, u_prev_norm <= 0.0)
-        frozen = railed.all(axis=1) & (np.abs(error) >= 1e-12)
-        # where(frozen, z, z + error) would rewrite an untouched z with
-        # z + 0-addition artifacts; keep frozen rows' stored values as-is.
-        z = np.where(frozen, z, z + error)
-
-        u_centered = -(x_pred @ design.k_x.T) - z[:, None] * design.k_z[:, 0][None, :]
-        u_norm = u_centered + head._u_center[None, :]
-        sat_hi = (u_norm > 1.0).sum(axis=1)
-        sat_lo = (u_norm < 0.0).sum(axis=1)
-        clipped = np.clip(u_norm, 0.0, 1.0)
-
-        settings = []
-        for row, controller in enumerate(controllers):
-            applied = controller.bank.quantize_normalized(clipped[row])
-            controller._x_pred = x_pred[row].copy()
-            controller._z = float(z[row])
-            controller._u_applied = controller.bank.normalize(applied) - controller._u_op
-            controller.last_sat_hi = int(sat_hi[row])
-            controller.last_sat_lo = int(sat_lo[row])
-            controller.last_antiwindup = int(frozen[row])
-            if controller.last_sat_hi or controller.last_sat_lo:
-                controller.saturation_steps += 1
-            controller.antiwindup_steps += controller.last_antiwindup
-            settings.append(applied)
-        return settings
+        u_applied[:] = self.bank.normalized_levels(index) - self._u_op
+        return self.bank.settings_for(index)
 
     def _saturated_towards(self, error: float, u_norm: np.ndarray) -> bool:
         """True if every input is railed in the direction demanded by ``error``."""
@@ -241,3 +212,103 @@ class MatrixController:
 
     def operations_per_step(self) -> int:
         return self.equation1_matrices().operations_per_step()
+
+
+class ControllerFleet:
+    """Equation-1 state of a lock-step fleet of controllers sharing a design.
+
+    Built once per fleet: the controllers' states are stacked into
+    ``(B, n)``/``(B, m)``/``(B,)``/``(B, 5)`` arrays, and each controller is
+    rebound to its row views, so :meth:`step` updates every session with
+    whole-fleet array expressions written in place.  :meth:`step` replays
+    :meth:`MatrixController.step` elementwise — the same
+    :func:`fixed_order_matvec`, freeze test, clip and nearest-level snap —
+    so each row is bit-identical to stepping that controller alone.
+    """
+
+    def __init__(self, controllers: "list[MatrixController]") -> None:
+        head = controllers[0]
+        for controller in controllers:
+            if controller.design is not head.design:
+                raise ValueError("a controller fleet requires a shared design")
+            if controller.bank.spec != head.bank.spec:
+                raise ValueError("a controller fleet requires a shared platform")
+        self.controllers = list(controllers)
+        self.x_pred = np.stack([controller._x_pred for controller in controllers])
+        self.u_applied = np.stack([controller._u_applied for controller in controllers])
+        self.z = np.concatenate([controller._z for controller in controllers])
+        self.counts = np.stack([controller._counts for controller in controllers])
+        for row, controller in enumerate(controllers):
+            controller._bind(
+                self.x_pred[row],
+                self.u_applied[row],
+                self.z[row:row + 1],
+                self.counts[row],
+                fleet=self,
+            )
+        signs = np.asarray(head._input_signs, dtype=float)
+        #: Per-input direction factor of ``_saturated_towards`` (0 -> 1).
+        self._input_signs = np.where(signs != 0, signs, 1.0)
+
+    @classmethod
+    def of(cls, controllers: "list[MatrixController]") -> "ControllerFleet":
+        """The fleet these controllers are bound to, in this order, or a new one."""
+        fleet = controllers[0]._fleet
+        if (
+            fleet is not None
+            and len(fleet.controllers) == len(controllers)
+            and all(
+                member is controller and controller._fleet is fleet
+                for member, controller in zip(fleet.controllers, controllers)
+            )
+        ):
+            return fleet
+        return cls(controllers)
+
+    # maya: batch-twin(MatrixController.step)
+    def step(self, target_w: np.ndarray, measured_w: np.ndarray) -> "list[ActuatorSettings]":
+        """:meth:`MatrixController.step` for every row at once."""
+        head = self.controllers[0]
+        design = head.design
+        plant_ss = design.plant_ss
+        x_pred = self.x_pred
+        u_applied = self.u_applied
+        z = self.z
+        error = (target_w - measured_w) / head._y_scale
+
+        y_meas_dev = -error
+        y_pred = (
+            fixed_order_matvec(plant_ss.c, x_pred)[:, 0]
+            + fixed_order_matvec(plant_ss.d, u_applied)[:, 0]
+        )
+        innovation = y_meas_dev - y_pred
+        x_filt = x_pred + design.m_gain[:, 0] * innovation[:, None]
+
+        x_pred[:] = fixed_order_matvec(plant_ss.a, x_filt) + fixed_order_matvec(
+            plant_ss.b, u_applied
+        )
+
+        # _saturated_towards with the same comparisons, row-wise.
+        u_prev_norm = u_applied + head._u_op
+        direction = np.sign(error)[:, None] * self._input_signs
+        railed = u_prev_norm <= 0.0
+        upward = direction > 0
+        railed[upward] = u_prev_norm[upward] >= 1.0
+        frozen = railed.all(axis=1) & ~(np.abs(error) < 1e-12)
+        integrating = ~frozen
+        z[integrating] += error[integrating]
+
+        u_centered = -fixed_order_matvec(design.k_x, x_pred) - design.k_z[:, 0] * z[:, None]
+        u_norm = u_centered + head._u_center
+        sat_hi = np.count_nonzero(u_norm > 1.0, axis=1)
+        sat_lo = np.count_nonzero(u_norm < 0.0, axis=1)
+        counts = self.counts
+        counts[:, 0] = sat_hi
+        counts[:, 1] = sat_lo
+        counts[:, 2] = frozen
+        counts[:, 3] += (sat_hi > 0) | (sat_lo > 0)
+        counts[:, 4] += frozen
+        bank = head.bank
+        indices = bank.quantize_indices(np.clip(u_norm, 0.0, 1.0))
+        u_applied[:] = bank.normalized_levels(indices) - head._u_op
+        return bank.settings_at(indices)

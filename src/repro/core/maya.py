@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..control import (
+    ControllerFleet,
     DesignedController,
     MatrixController,
     PlantModel,
@@ -87,57 +88,54 @@ class MayaInstance:
         """One lock-step wake-up for a fleet of Maya instances.
 
         All mask targets are drawn first through the batched mask hook
-        (:func:`repro.masks.next_targets`), then the Equation-1 state
-        update runs across the fleet.  The K·x matmul stays a per-session
-        loop on purpose: the controller state is a handful of floats and
-        batching it through BLAS could reorder accumulations, while the
-        tick-level physics the batched backend vectorizes is what
-        dominates.  Each instance consumes its own RNG and state exactly
-        as :meth:`decide` would, so the settings are bit-identical.
+        (:func:`repro.masks.next_targets`), then the Equation-1 update runs
+        as one :meth:`ControllerFleet.step` per shared design.  Each
+        instance consumes its own RNG stream exactly as :meth:`decide`
+        would, and the fleet step replays :meth:`MatrixController.step`
+        elementwise with a fixed summation order, so the settings are
+        bit-identical to B serial calls.
         """
         from ..masks import next_targets
 
         targets_w = next_targets([instance.mask for instance in instances])
-        settings: list[ActuatorSettings] = []
-        for instance, target_w, measurement_w in zip(instances, targets_w, measured_w):
-            instance.current_target_w = float(target_w)
-            settings.append(
-                instance.controller.step(instance.current_target_w, measurement_w)
-            )
-        return settings
+        return MayaInstance._step_fleets(instances, targets_w, measured_w)
 
     @staticmethod
     def decide_fleet_fast(
         instances: "list[MayaInstance]", measured_w: "list[float]"
     ) -> "list[ActuatorSettings]":
-        """Fast-tier fleet wake-up: vectorized masks + one BLAS controller step.
+        """Fast-tier fleet wake-up: vectorized mask sinusoids, exact controller.
 
-        The loosened twin of :meth:`decide_fleet`: mask sinusoids evaluate
-        through one batched ``np.sin`` (:func:`repro.masks.next_targets_fast`)
-        and the Equation-1 updates run as whole-fleet matmuls
-        (:meth:`MatrixController.step_fleet`), grouped by shared design in
-        first-appearance order.  RNG streams and state writebacks are
-        serial-identical; the numeric drift is bounded by the certified
-        transcendental/matmul sites and re-measured by the runtime
-        equivalence certificate.
+        The mask sinusoids evaluate through one batched ``np.sin``
+        (:func:`repro.masks.next_targets_fast`), the tier's one loosening
+        here, bounded by the certified transcendental site and re-measured
+        by the runtime equivalence certificate.  The controller is the
+        exact-tier :meth:`ControllerFleet.step`.
         """
         from ..masks import next_targets_fast
 
         targets_w = next_targets_fast([instance.mask for instance in instances])
-        for instance, target_w in zip(instances, targets_w):
-            instance.current_target_w = float(target_w)
+        return MayaInstance._step_fleets(instances, targets_w, measured_w)
+
+    @staticmethod
+    def _step_fleets(instances, targets_w, measured_w) -> list:
+        """Record the targets, then step one controller fleet per design."""
         groups: dict = {}
-        for index, instance in enumerate(instances):
+        for index, (instance, target_w) in enumerate(zip(instances, targets_w.tolist())):
+            instance.current_target_w = target_w
             groups.setdefault(id(instance.controller.design), []).append(index)
-        measured = np.asarray(measured_w, dtype=float)
+        measured_w = np.asarray(measured_w, dtype=float)
         settings: list = [None] * len(instances)
         for indices in groups.values():
-            fleet_settings = MatrixController.step_fleet(
-                [instances[i].controller for i in indices],
-                targets_w[indices],
-                measured[indices],
+            members = [instances[index] for index in indices]
+            fleet = ControllerFleet.of([member.controller for member in members])
+            # Step on the recorded targets, as decide() steps on
+            # current_target_w (MAYA043 follows the value through it).
+            decided = fleet.step(
+                np.array([member.current_target_w for member in members]),
+                measured_w[indices],
             )
-            for index, applied in zip(indices, fleet_settings):
+            for index, applied in zip(indices, decided):
                 settings[index] = applied
         return settings
 

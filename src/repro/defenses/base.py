@@ -61,7 +61,7 @@ def decide_batch(defenses, measured_w) -> list:
 
     Maya instances are routed through :meth:`MayaDefense.decide_fleet`,
     which draws all mask targets through the batched mask evaluation hook
-    and then applies the Equation-1 state update per session; every other
+    and then steps one controller fleet per design; every other
     defense falls back to its own :meth:`Defense.decide`.  Each defense
     consumes exactly the per-session values it would see serially, so the
     emitted settings are identical to B independent ``decide`` calls.
@@ -87,11 +87,12 @@ def decide_batch(defenses, measured_w) -> list:
 
 
 def decide_batch_fast(defenses, measured_w) -> list:
-    """Fast-tier :func:`decide_batch`: Maya routes through the BLAS fleet step.
+    """Fast-tier :func:`decide_batch`: Maya masks evaluate one vector ``sin``.
 
     Identical routing, but Maya instances decide through
-    :meth:`MayaDefense.decide_fleet_fast` (vectorized mask sin + one fleet
-    matmul, certified-equivalent rather than bit-identical).  Non-Maya
+    :meth:`MayaDefense.decide_fleet_fast`: vectorized mask sinusoids
+    (certified-equivalent rather than bit-identical) feeding the exact
+    controller fleet step.  Non-Maya
     defenses are untouched — their per-session ``decide`` is already
     scalar-cheap and exact.
     """

@@ -142,7 +142,7 @@ class MayaDefense(Defense):
         """Batched :meth:`decide` for a lock-step fleet of Maya defenses.
 
         Delegates to :meth:`MayaInstance.decide_fleet` (batched mask draw +
-        per-session Equation-1 update) and mirrors each defense's target
+        fleet Equation-1 step) and mirrors each defense's target
         bookkeeping, emitting exactly what B serial ``decide`` calls would.
         """
         instances = []

@@ -4,21 +4,26 @@ The serial runner (:func:`repro.core.runtime.run_session`) pays the full
 Python control-loop cost once per 20 ms interval per session.  For the
 fixed-duration fleets every experiment collects (attack training runs,
 detection sweeps, PLATYPUS grids) the sessions are mutually independent and
-share the same interval grid, so the tick-level physics — which profiling
-shows dominates a session — can be evaluated for all of them at once:
+share the same interval grid, so each interval's work — the phase walk,
+the tick-level physics and the Maya wake-up — runs as ``(B, ...)`` array
+kernels over the whole fleet:
 
 * each session keeps its own :class:`~repro.machine.SimulatedMachine`
   (phase cursors, jittered workload, RNG streams) and its own defense
   instance, exactly as in the serial runner;
-* every interval, :class:`BatchedMachine` gathers the per-session activity
-  and core-occupancy profiles into ``(B, ticks)`` structure-of-arrays
-  batches and evaluates the power model once for the whole fleet
+* every interval, :class:`BatchedMachine` evaluates the activity of every
+  row whose window stays inside one phase as one ``(B, ticks)`` block
+  (rows crossing a boundary walk it per row), then evaluates the power
+  model once for the whole fleet
   (:func:`repro.machine.power.batch_window_power`), filtering all AR(1)
   noise rows with a single row-wise ``lfilter`` call;
 * the windowed RAPL measurement reduces the ``(B, ticks)`` block row-wise
   (:class:`~repro.machine.sensors.BatchedRaplSensor`), and the defenses
-  decide the next settings through :func:`repro.defenses.decide_batch`
-  (batched mask evaluation; the tiny Equation-1 matmul stays per session).
+  decide the next settings through :func:`repro.defenses.decide_batch`:
+  per-session mask draws, then one
+  :class:`~repro.control.ControllerFleet` step per Maya design (the
+  Equation-1 update with a fixed summation order, the freeze test, and a
+  ``(B, 3, L)`` nearest-level snap).
 
 **Bit-identity contract.**  Every per-session random draw happens on that
 session's own spawn-keyed stream, in the same within-session order as the
@@ -45,6 +50,7 @@ line up row-for-row.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -61,6 +67,7 @@ from ..machine import (
     batch_window_power,
     spawn,
 )
+from ..workloads.phases import Phase, activity_block
 from .jobs import SessionJob
 
 __all__ = [
@@ -135,10 +142,13 @@ def batch_key(job: SessionJob) -> "tuple | None":
 class BatchedMachine:
     """B simulated machines advanced lock-step as structure-of-arrays.
 
-    Wraps the sessions' own :class:`SimulatedMachine` instances: the
-    per-session phase cursors advance through the exact serial code path
-    (:meth:`SimulatedMachine.activity_profile`), and only the tick-level
-    physics is evaluated batched.
+    Wraps the sessions' own :class:`SimulatedMachine` instances.  Each
+    interval, a row whose window stays inside its current phase advances
+    its cursors inline and joins one ``(B, ticks)`` work-time block
+    evaluated by :func:`~repro.workloads.phases.activity_block`; a row that
+    crosses a phase boundary or completes takes the serial code path
+    (:meth:`SimulatedMachine.activity_profile`).  The tick-level physics is
+    then evaluated for the whole fleet at once.
     """
 
     def __init__(self, machines: "list[SimulatedMachine]") -> None:
@@ -166,10 +176,38 @@ class BatchedMachine:
         n_sessions = len(self.machines)
         activity = np.empty((n_sessions, n_ticks))
         core_fraction = np.empty((n_sessions, n_ticks))
-        for machine, applied, activity_row, core_row in zip(
-            self.machines, settings, activity, core_fraction
-        ):
-            machine.activity_profile(n_ticks, applied, activity_row, core_row)
+        window_s = n_ticks * self.tick_s
+        # Rows whose whole window is one segment of their current phase.
+        rows, phases, starts, steps = [], [], [], []
+        for row, (machine, applied) in enumerate(zip(self.machines, settings)):
+            if not machine.completed:
+                phase = machine.workload.phases[machine._phase_index]
+                work_per_tick = machine.work_per_tick(phase, applied)
+                work_into_phase = machine._work_into_phase
+                work_remaining = phase.work_units - work_into_phase
+                advanced_work = work_per_tick * n_ticks
+                if (
+                    type(phase).activity_at is Phase.activity_at
+                    and math.ceil(work_remaining / work_per_tick - 1e-12) >= n_ticks
+                    and work_into_phase + advanced_work < phase.work_units - 1e-9
+                ):
+                    # One segment that ends inside the phase: the cursor
+                    # bookkeeping of activity_profile, minus the boundary.
+                    machine._work_into_phase = work_into_phase + advanced_work
+                    machine.work_done += advanced_work
+                    machine.time_s += window_s
+                    rows.append(row)
+                    phases.append(phase)
+                    starts.append(work_into_phase)
+                    steps.append(work_per_tick)
+                    continue
+            machine.activity_profile(n_ticks, applied, activity[row], core_fraction[row])
+        if rows:
+            work_time = np.array(starts)[:, None] + np.array(steps)[:, None] * (
+                np.arange(n_ticks) + 1.0
+            )
+            activity[rows] = activity_block(phases, work_time)
+            core_fraction[rows] = np.array([phase.core_fraction for phase in phases])[:, None]
         return batch_window_power(
             [machine.power_model for machine in self.machines],
             activity,
@@ -312,9 +350,9 @@ def _run_lockstep(
     settings = [defense.initial_settings() for defense in defenses]
     for interval_index in range(interval_cap):
         # Kernel spans cover the three vectorized hot paths: the power
-        # model (activity gather + row-wise AR(1) lfilter), the windowed
-        # RAPL reduction, and the batched control decision (mask
-        # transcendentals + the per-session Equation-1 matmul).  The
+        # model (phase walk + row-wise AR(1) lfilter), the windowed RAPL
+        # reduction, and the batched control decision (mask draws + the
+        # fleet Equation-1 step).  The
         # spans observe wall-clock only — they never feed back (MAYA033).
         with profile.span("kernel.power", interval=interval_index):
             window_w = batched_machine.advance(interval_s, settings)
@@ -324,11 +362,11 @@ def _run_lockstep(
         tick_start = interval_index * ticks_per_interval
         power_w[:, tick_start:tick_start + ticks_per_interval] = window_w
         measured_w[:, interval_index] = measurements_w
-        for row, (defense, applied) in enumerate(zip(defenses, settings)):
-            target_w[row, interval_index] = defense.current_target_w
-            settings_log[row, interval_index, 0] = applied.freq_ghz
-            settings_log[row, interval_index, 1] = applied.idle_frac
-            settings_log[row, interval_index, 2] = applied.balloon_level
+        target_w[:, interval_index] = [defense.current_target_w for defense in defenses]
+        settings_log[:, interval_index] = [
+            (applied.freq_ghz, applied.idle_frac, applied.balloon_level)
+            for applied in settings
+        ]
 
         applied_settings = settings
         with profile.span("kernel.decide", interval=interval_index):

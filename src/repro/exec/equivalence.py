@@ -2,8 +2,8 @@
 
 The exact tier's correctness oracle is :meth:`Trace.equals` — bit-identity
 against the serial runner.  The fast tier deliberately gives that up at a
-small, enumerated set of *loosened sites* (vectorized transcendentals, the
-fleet controller matmul, the batched AR(1) recurrence), each of which
+small, enumerated set of *loosened sites* (vectorized transcendentals,
+the batched AR(1) recurrence), each of which
 carries a static worst-case rounding bound in ``certs/numeric/`` produced
 by the reassociation-safety analysis (``repro-lint --analyze numeric``).
 
@@ -16,7 +16,7 @@ absolute terms — either suffices, since the static bounds are expressed
 both ways); fields with no loosened sites on their dataflow
 (``completed_at_s``) must be bit-identical.  :func:`require` fails the run
 loudly on any excess — a fast result that drifts past its certified bound
-(e.g. a quantization knife-edge flipped by the matmul reassociation) is a
+(e.g. a quantization knife-edge flipped by upstream drift) is a
 wrong answer, not a tolerance question.
 
 The certificate is written next to the batch group's cache entries
@@ -61,25 +61,24 @@ LOOSENED_SITES: "dict[str, tuple[str, str]]" = {
     "mask-transcendental": ("repro.masks.generators", "transcendental"),
     # Whole-phase-span activity oscillations (exec.fast._materialize).
     "workload-transcendental": ("repro.workloads.phases", "transcendental"),
-    # Fleet Equation-1 updates (MatrixController.step_fleet).
-    "controller-matmul": ("repro.control.controller", "matmul"),
     # Batched AR(1) sensor-noise filtering (machine.power lfilter).
     "noise-recurrence": ("repro.machine.power", "recurrence"),
 }
 
 #: Which loosened sites can reach each certified trace field.  Power flows
 #: through the activity oscillator and the AR(1) noise model; the mask
-#: target stream only through the mask sinusoid; settings only through the
-#: controller matmul (its quantization normally *absorbs* the drift — a
-#: knife-edge flip exceeds the bound and fails).  ``completed_at_s`` has no
-#: loosened site on its dataflow: the fast tier replays the segmentation
-#: bookkeeping exactly, so it must be bit-identical.
+#: target stream only through the mask sinusoid.  ``settings`` cites no
+#: site: both tiers run the exact controller fleet step, and its level
+#: snap absorbs the mask drift, so any difference is a flipped level and
+#: fails.  ``completed_at_s`` has no loosened site on its dataflow: the
+#: fast tier replays the segmentation bookkeeping exactly, so it must be
+#: bit-identical.
 FIELD_SITES: "dict[str, tuple[str, ...]]" = {
     "power_w": ("workload-transcendental", "noise-recurrence"),
     "measured_w": ("workload-transcendental", "noise-recurrence"),
     "temperature_c": ("workload-transcendental", "noise-recurrence"),
     "target_w": ("mask-transcendental",),
-    "settings": ("controller-matmul",),
+    "settings": (),
     "completed_at_s": (),
 }
 

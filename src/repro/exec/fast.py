@@ -1,12 +1,9 @@
 """The ``precision="fast"`` execution tier: fully vectorized session fleets.
 
-The exact batched backend (:mod:`repro.exec.batch`) holds three kernels
-back to preserve bit-identity with the serial runner: mask transcendentals
-stay scalar, the Equation-1 controller matmul stays per-session, and
-completion-mode / temperature-recording jobs fall back to the serial loop
-outright.  Profiling shows the residual per-interval Python — dominated by
-``SimulatedMachine.activity_profile`` — then caps the batched speedup at
-~2.5x.  The fast tier removes those caps:
+The exact batched backend (:mod:`repro.exec.batch`) holds two things back
+to preserve bit-identity with the serial runner: mask transcendentals stay
+scalar, and completion-mode / temperature-recording jobs fall back to the
+serial loop outright.  The fast tier removes those caps:
 
 * **Whole-session evaluation for static defenses.**  ``Baseline`` and
   ``NoisyBaseline`` apply one constant actuation triple for the entire
@@ -22,8 +19,8 @@ outright.  Profiling shows the residual per-interval Python — dominated by
 * **Vectorized dynamic fleets.**  Sessions under runtime defenses still
   advance interval-by-interval (the control loop is sequential by
   nature), but masks evaluate through one batched ``np.sin``
-  (:func:`repro.masks.next_targets_fast`) and the controller state updates
-  run as one fleet BLAS matmul (:meth:`MatrixController.step_fleet`).
+  (:func:`repro.masks.next_targets_fast`).  The controller is the exact
+  tier's fleet step (:meth:`repro.control.ControllerFleet.step`).
 * **Masked per-row termination.**  Completion-mode and
   temperature-recording jobs batch too: finished sessions coast (their
   extra RNG consumption lands beyond the recorded slice of independent
@@ -33,8 +30,7 @@ outright.  Profiling shows the residual per-interval Python — dominated by
 
 **Equivalence contract.**  Fast traces are *not* bit-identical to the
 exact tier.  Every loosened site — the vectorized ``np.sin`` kernels
-(shape-dependent rounding) and the fleet matmul (reassociated dot
-products) — is enumerated with a static worst-case bound in
+(shape-dependent rounding) — is enumerated with a static worst-case bound in
 ``certs/numeric/``, and :mod:`repro.exec.equivalence` re-measures the
 realized per-field error against those bounds at runtime, failing loudly
 on any excess.  Everything else (RNG streams, AR(1) filtering, RAPL
@@ -145,9 +141,7 @@ class _SessionCursor:
 
     def __init__(self, machine, settings) -> None:
         self.machine = machine
-        self.freq_fraction = settings.freq_ghz / machine.spec.freq_max_ghz
-        self.idle_frac = settings.idle_frac
-        self.balloon_level = settings.balloon_level
+        self.settings = settings
         #: 1-based global tick count at workload completion (None = running).
         self.completion_tick: int | None = None
         self._global_tick = 0
@@ -172,13 +166,9 @@ class _SessionCursor:
                 # The serial loop recomputes the rate every window; it is a
                 # pure function of the phase and the constant settings, so
                 # caching it per phase entry reuses the identical value.
-                phase = phases[machine._phase_index]
-                rate = phase.progress_rate(
-                    self.freq_fraction, self.idle_frac, self.balloon_level
+                self._work_per_tick = machine.work_per_tick(
+                    phases[machine._phase_index], self.settings
                 )
-                if not (rate > 0.0) or not math.isfinite(rate):
-                    rate = 1e-6
-                self._work_per_tick = rate * tick_s
                 self._rate_phase_index = machine._phase_index
             phase = phases[machine._phase_index]
             work_per_tick = self._work_per_tick
@@ -475,11 +465,11 @@ def _run_lockstep_fast(jobs, machines, defenses, sensors, channels) -> list:
         with profile.span("kernel.measure", interval=interval_index):
             measurements_w = batched_sensor.measure_windows(window_w, tick_s)
         measured_w[:, interval_index] = measurements_w
-        for row, (defense, applied) in enumerate(zip(defenses, settings)):
-            target_w[row, interval_index] = defense.current_target_w
-            settings_log[row, interval_index, 0] = applied.freq_ghz
-            settings_log[row, interval_index, 1] = applied.idle_frac
-            settings_log[row, interval_index, 2] = applied.balloon_level
+        target_w[:, interval_index] = [defense.current_target_w for defense in defenses]
+        settings_log[:, interval_index] = [
+            (applied.freq_ghz, applied.idle_frac, applied.balloon_level)
+            for applied in settings
+        ]
 
         applied_settings = settings
         with profile.span("kernel.decide", interval=interval_index):

@@ -1,9 +1,10 @@
 """Reassociation-safety certification (MAYA040-MAYA043) for the hot paths.
 
 The batched execution backend's contract is bit-identity with the serial
-runner (DESIGN.md §7), which is why the mask transcendentals and the
-controller's K·x matmul stay scalar: SIMD/BLAS evaluation may reassociate
-floating-point operations.  The planned ``precision="fast"`` tier needs a
+runner (DESIGN.md §7), which is why the mask transcendentals stay scalar
+and the controller's matvecs use a fixed left-to-right accumulation
+(``np.add.accumulate``) instead of ``@``: SIMD/BLAS evaluation may
+reassociate floating-point operations.  The planned ``precision="fast"`` tier needs a
 principled inventory of *what* is order-sensitive and *at what error
 cost*, instead of hand-maintained lists.  This analysis classifies every
 floating-point expression reachable from the simulation hot paths as
@@ -117,8 +118,12 @@ _INT_DTYPES = frozenset(
      "uint32", "uint64", "int_", "int"}
 )
 #: The fixed-point quantization boundary: a half-ULP bound absorbs any
-#: upstream reassociation error (CLIPPED classification).
-_CLIP_NAMES = frozenset({"quantize", "quantize_normalized"})
+#: upstream reassociation error (CLIPPED classification).  The bank's
+#: index forms are the same boundary for one command (``quantize_index``)
+#: and for a fleet (``quantize_indices``).
+_CLIP_NAMES = frozenset(
+    {"quantize", "quantize_normalized", "quantize_index", "quantize_indices"}
+)
 _MUTATORS = frozenset({"append", "extend", "insert", "add", "update"})
 _PASSTHROUGH_1ARG = frozenset({"list", "tuple", "sorted", "reversed", "float", "abs", "round"})
 

@@ -15,7 +15,8 @@ checks three sink families inside the ``masks``/``control`` packages:
 * **MAYA021** — a mask parameter (attribute store in ``masks``) depends
   on a secret;
 * **MAYA022** — an actuator command (``quantize``/``quantize_normalized``/
-  ``denormalize``/``ActuatorSettings``) depends on a secret.
+  ``quantize_index``/``quantize_indices``/``denormalize``/
+  ``ActuatorSettings``) depends on a secret.
 
 Taint payloads are frozensets of symbols: the concrete source ``<secret>``
 plus per-parameter placeholders ``p:<name>``.  Each function gets one
@@ -63,8 +64,11 @@ _SOURCE_NAMES = frozenset({"tick_powers"})
 DECLASSIFIER_NAMES = frozenset({"measure_window", "measure_windows"})
 
 #: Calls that commit actuator commands (plus the settings constructor).
+#: ``quantize_index``/``quantize_indices`` are the controller's per-session
+#: and fleet forms of ``quantize_normalized``.
 _ACTUATOR_CALLS = frozenset(
-    {"quantize", "quantize_normalized", "denormalize", "ActuatorSettings"}
+    {"quantize", "quantize_normalized", "quantize_index", "quantize_indices",
+     "denormalize", "ActuatorSettings"}
 )
 
 #: External calls whose result depends only on data *shape*, not values.

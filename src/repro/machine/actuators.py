@@ -17,6 +17,7 @@ implementation does when writing sysfs files.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ class QuantizedActuator:
             raise ValueError("levels must be strictly increasing")
         self.name = name
         self.levels = levels
+        #: Python-float copy for the scalar snap (``bisect`` on a list).
+        self._level_list = levels.tolist()
 
     @property
     def min_level(self) -> float:
@@ -55,9 +58,26 @@ class QuantizedActuator:
 
     def quantize(self, value: float) -> float:
         """Clamp ``value`` into range and snap it to the nearest level."""
-        value = float(np.clip(value, self.min_level, self.max_level))
-        index = int(np.argmin(np.abs(self.levels - value)))
-        return float(self.levels[index])
+        return self._level_list[self.snap_index(value)]
+
+    def snap_index(self, value: float) -> int:
+        """Index of the level :meth:`quantize` snaps ``value`` to.
+
+        Bit-equal to ``argmin(abs(levels - clip(value, min, max)))``:
+        ``min``/``max`` in this argument order are ``np.clip`` on floats
+        (signed zeros and NaN included), and only the two levels that
+        bracket the clamped value can be nearest.  The lower one wins an
+        exact tie (first index, as ``argmin``), and NaN snaps to level 0
+        (``argmin`` of an all-NaN row; ``bisect`` never moves past NaN).
+        """
+        levels = self._level_list
+        value = min(max(float(value), levels[0]), levels[-1])
+        index = bisect_left(levels, value)
+        if index == 0:
+            return 0
+        if abs(levels[index - 1] - value) <= abs(levels[index] - value):
+            return index - 1
+        return index
 
     def normalize(self, value: float) -> float:
         """Map a level to [0, 1] over the actuator's range."""
@@ -68,8 +88,12 @@ class QuantizedActuator:
 
     def denormalize(self, fraction: float) -> float:
         """Inverse of :meth:`normalize` followed by quantization."""
+        return self._level_list[self.denormalize_index(fraction)]
+
+    def denormalize_index(self, fraction: float) -> int:
+        """Index of the level :meth:`denormalize` returns."""
         span = self.max_level - self.min_level
-        return self.quantize(self.min_level + float(fraction) * span)
+        return self.snap_index(self.min_level + float(fraction) * span)
 
     def random_level(self, rng: np.random.Generator) -> float:
         """Pick a uniformly random level (used by the noisy baselines)."""
@@ -137,6 +161,22 @@ class ActuatorBank:
         self.dvfs = DvfsActuator(spec)
         self.idle = IdleInjector(spec)
         self.balloon = BalloonTask(spec)
+        # Fleet snap tables, one row per actuator, padded to the longest
+        # level set: +inf levels are never nearest to a finite value.
+        width = max(act.levels.size for act in self.actuators)
+        self._rows = np.arange(3)
+        self._level_table = np.full((3, width), np.inf)
+        self._normalized_table = np.zeros((3, width))
+        for row, act in enumerate(self.actuators):
+            self._level_table[row, :act.levels.size] = act.levels
+            self._normalized_table[row, :act.levels.size] = [
+                act.normalize(level) for level in act._level_list
+            ]
+        self._mins = np.array([act.min_level for act in self.actuators])
+        self._maxs = np.array([act.max_level for act in self.actuators])
+        self._spans = self._maxs - self._mins
+        #: Settings per snapped level triple (immutable, so shared).
+        self._settings_by_index: dict = {}
 
     @property
     def actuators(self) -> tuple[QuantizedActuator, ...]:
@@ -158,11 +198,44 @@ class ActuatorBank:
         fractions = np.asarray(fractions, dtype=float)
         if fractions.shape != (3,):
             raise ValueError("expected a 3-element command vector")
-        return ActuatorSettings(
-            freq_ghz=self.dvfs.denormalize(fractions[0]),
-            idle_frac=self.idle.denormalize(fractions[1]),
-            balloon_level=self.balloon.denormalize(fractions[2]),
+        return self.settings_for(self.quantize_index(fractions.tolist()))
+
+    def quantize_index(self, fractions: "list[float]") -> "tuple[int, int, int]":
+        """Level indices :meth:`quantize_normalized` snaps a command to."""
+        return (
+            self.dvfs.denormalize_index(fractions[0]),
+            self.idle.denormalize_index(fractions[1]),
+            self.balloon.denormalize_index(fractions[2]),
         )
+
+    def quantize_indices(self, fractions: np.ndarray) -> np.ndarray:
+        """:meth:`quantize_index` for every row of ``(B, 3)`` commands.
+
+        The same denormalize arithmetic and clamp, elementwise, then one
+        ``(B, 3, L)`` ``argmin``: first index wins ties and NaN rows, as in
+        the scalar snap.
+        """
+        values = np.clip(self._mins + fractions * self._spans, self._mins, self._maxs)
+        return np.argmin(np.abs(self._level_table - values[..., None]), axis=-1)
+
+    def normalized_levels(self, indices) -> np.ndarray:
+        """:meth:`normalize` of snapped level indices, ``(3,)`` or ``(B, 3)``."""
+        return self._normalized_table[self._rows, indices]
+
+    def settings_for(self, index: "tuple[int, int, int]") -> ActuatorSettings:
+        """The settings at one triple of level indices (shared, immutable)."""
+        settings = self._settings_by_index.get(index)
+        if settings is None:
+            settings = self._settings_by_index[index] = ActuatorSettings(
+                self.dvfs._level_list[index[0]],
+                self.idle._level_list[index[1]],
+                self.balloon._level_list[index[2]],
+            )
+        return settings
+
+    def settings_at(self, indices: np.ndarray) -> "list[ActuatorSettings]":
+        """One :meth:`settings_for` per row of ``(B, 3)`` level indices."""
+        return [self.settings_for(index) for index in map(tuple, indices.tolist())]
 
     def normalize(self, settings: ActuatorSettings) -> np.ndarray:
         """Map settings to the normalized [0,1]^3 space the controller uses."""

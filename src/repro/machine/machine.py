@@ -13,6 +13,8 @@ control loop lives in :mod:`repro.core.runtime`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..workloads.phases import PhaseProgram
@@ -96,7 +98,6 @@ class SimulatedMachine:
         """
         if n_ticks <= 0:
             raise ValueError("duration shorter than one tick")
-        freq_fraction = settings.freq_ghz / self.spec.freq_max_ghz
 
         filled = 0
         while filled < n_ticks:
@@ -110,18 +111,9 @@ class SimulatedMachine:
                 break
 
             phase = self.workload.phases[self._phase_index]
-            rate = phase.progress_rate(
-                freq_fraction, settings.idle_frac, settings.balloon_level
-            )
-            # Defensive clamp: a custom Phase whose progress_rate returns a
-            # zero, negative, or non-finite rate (e.g. idle_frac at its
-            # ceiling without the base class's own floor) would otherwise
-            # divide work_remaining by zero below.
-            if not (rate > 0.0) or not np.isfinite(rate):
-                rate = 1e-6
-            work_per_tick = rate * self.tick_s
+            work_per_tick = self.work_per_tick(phase, settings)
             work_remaining = phase.work_units - self._work_into_phase
-            ticks_in_phase = int(np.ceil(work_remaining / work_per_tick - 1e-12))
+            ticks_in_phase = math.ceil(work_remaining / work_per_tick - 1e-12)
             seg_ticks = min(ticks_left, max(ticks_in_phase, 1))
 
             # Work-time grid for this segment (loop phases oscillate in
@@ -144,6 +136,21 @@ class SimulatedMachine:
                 self._phase_index += 1
                 if self.completed and not np.isfinite(self.completed_at_s):
                     self.completed_at_s = self.time_s
+
+    def work_per_tick(self, phase, settings: ActuatorSettings) -> float:
+        """Work units ``phase`` completes per tick under ``settings``."""
+        rate = phase.progress_rate(
+            settings.freq_ghz / self.spec.freq_max_ghz,
+            settings.idle_frac,
+            settings.balloon_level,
+        )
+        # Defensive clamp: a custom Phase whose progress_rate returns a
+        # zero, negative, or non-finite rate (e.g. idle_frac at its
+        # ceiling without the base class's own floor) would otherwise
+        # divide work_remaining by zero.
+        if not (rate > 0.0) or not math.isfinite(rate):
+            rate = 1e-6
+        return rate * self.tick_s
 
     def advance(
         self, duration_s: float, settings: ActuatorSettings

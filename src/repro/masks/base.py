@@ -80,7 +80,8 @@ class MaskGenerator(abc.ABC):
         """Start a fresh segment schedule (keeps the RNG stream)."""
 
     def _clip(self, value: float) -> float:
-        return float(np.clip(value, self.low_w, self.high_w))
+        # min/max in this order are np.clip on floats, NaN and -0.0 included.
+        return min(max(float(value), self.low_w), self.high_w)
 
 
 def next_targets(masks: "list[MaskGenerator]") -> np.ndarray:
@@ -88,11 +89,9 @@ def next_targets(masks: "list[MaskGenerator]") -> np.ndarray:
 
     This is the batched-backend entry point for mask evaluation: the
     per-session draws stay on each mask's own RNG stream (in fleet order),
-    and the per-sample arithmetic deliberately stays scalar — numpy's SIMD
-    transcendental kernels are not guaranteed to round identically across
-    array lengths, and the backend's contract is bit-identity with the
-    serial runner.  The batching win is structural: one fleet-sized float64
-    vector feeds the batched controller step instead of B boxed floats.
+    and the per-sample arithmetic stays scalar, exactly as
+    :meth:`MaskGenerator.next_target` runs serially.  The fleet-sized
+    float64 vector it returns feeds :meth:`repro.control.ControllerFleet.step`.
     """
     targets_w = np.empty(len(masks), dtype=np.float64)
     for index, mask in enumerate(masks):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Phase", "PhaseProgram", "jitter_program"]
+__all__ = ["Phase", "PhaseProgram", "activity_block", "jitter_program"]
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,28 @@ class Phase:
         wave = np.sin(2.0 * np.pi * work_time / self.osc_period_s)
         activity = self.activity * (1.0 + self.osc_amplitude * wave)
         return np.clip(activity, 0.0, 1.0)
+
+
+# maya: batch-twin(Phase.activity_at)
+def activity_block(phases: "list[Phase]", work_time: np.ndarray) -> np.ndarray:
+    """:meth:`Phase.activity_at` for one phase per row of a ``(B, ticks)`` block.
+
+    The phase parameters broadcast as columns and every element replays
+    the scalar expression order, so each row equals ``activity_at`` on that
+    row alone (``np.sin`` included, pinned by the test suite on the
+    running host).  Only plain :class:`Phase` rows belong here: a subclass
+    overriding ``activity_at`` has to take the per-row path.
+    """
+    activity = np.array([phase.activity for phase in phases])[:, None]
+    osc_amplitude = np.array([phase.osc_amplitude for phase in phases])[:, None]
+    steady = np.abs(osc_amplitude[:, 0]) < 1e-12
+    # Steady rows get a unit period: their (finite) wave is discarded.
+    osc_period_s = np.array(
+        [1.0 if still else phase.osc_period_s for phase, still in zip(phases, steady)]
+    )[:, None]
+    wave = np.sin(2.0 * np.pi * work_time / osc_period_s)
+    oscillating = np.clip(activity * (1.0 + osc_amplitude * wave), 0.0, 1.0)
+    return np.where(steady[:, None], activity, oscillating)
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,14 @@ class TestFixtureCorpus:
         assert [d.rule_id for d in report.diagnostics] == ["MAYA022", "MAYA022"]
         assert any("inside 'commit'" in d.message for d in report.diagnostics)
 
+    @pytest.mark.parametrize("call", ["quantize_index", "quantize_indices"])
+    def test_index_quantizers_are_actuator_sinks(self, tmp_path, call):
+        module = tmp_path / "control" / "fleet.py"
+        module.parent.mkdir()
+        module.write_text(f"def command(bank, activity):\n    return bank.{call}(activity)\n")
+        report = taint_engine().run_paths([module])
+        assert [d.rule_id for d in report.diagnostics] == ["MAYA022"]
+
     def test_declassified_fixture_certifies_clean(self):
         report = taint_engine().run_paths(
             [FIXTURE_DIR / "control" / "taint_ok_declassified.py"]

@@ -130,9 +130,10 @@ class TestCertificates:
         assert {s["kind"] for s in masks["order_sensitive_sites"]} == {
             "transcendental"
         }
+        # The controller's matvecs accumulate in a fixed order
+        # (fixed_order_matvec), so no Equation-1 site is order-sensitive.
         controller = certs["repro.control.controller"]
-        assert "matmul" in {s["kind"] for s in controller["order_sensitive_sites"]}
-        assert any(s["clipped"] for s in controller["order_sensitive_sites"])
+        assert controller["order_sensitive_sites"] == []
         for cert in certs.values():
             for site in cert["order_sensitive_sites"]:
                 assert 0.0 < site["abs_error_bound"] < float("inf")
@@ -156,7 +157,23 @@ class TestCertificates:
         assert ("RaplSensor.measure_window", "BatchedRaplSensor.measure_windows") in twins
         assert ("MayaInstance.decide", "MayaInstance.decide_fleet") in twins
         assert ("MayaDefense.decide", "MayaDefense.decide_fleet") in twins
+        assert ("MatrixController.step", "ControllerFleet.step") in twins
+        assert ("Phase.activity_at", "activity_block") in twins
         assert all(t["matched"] for cert in certs.values() for t in cert["twins"])
+
+    def test_matmul_into_the_quantizer_is_clipped(self, tmp_path):
+        module = tmp_path / "control" / "controller.py"
+        module.parent.mkdir()
+        module.write_text(
+            "import numpy as np\n\n\n"
+            "def command(bank, k_x, x_pred):\n"
+            "    u_norm = -(k_x @ x_pred)\n"
+            "    return bank.quantize_normalized(np.clip(u_norm, 0.0, 1.0))\n"
+        )
+        certs = numeric_engine().run_paths([tmp_path]).numeric_certificates
+        [cert] = certs.values()
+        [site] = cert["order_sensitive_sites"]
+        assert site["kind"] == "matmul" and site["clipped"] is True
 
     def test_analysis_is_deterministic(self):
         assert self.certs() == self.certs()

@@ -48,6 +48,8 @@ ENTRY_POINTS = {
     "BatchedRaplSensor.measure_windows",
     "MayaInstance.decide_fleet",
     "MayaDefense.decide_fleet",
+    "ControllerFleet.step",
+    "activity_block",
 }
 
 SALT_PACKAGES = [
