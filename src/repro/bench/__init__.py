@@ -2,27 +2,21 @@
 
 Times the dominant stages of the attack pipeline — trace collection
 (serially, through the process-parallel execution engine, through the
-vectorized lock-step batch backend, under the ``"fast"`` precision tier,
-through adaptive ``"auto"`` backend selection, and replayed from the
-content-addressed cache), featurization, and MLP training — and writes
-the numbers to ``BENCH_pipeline.json``.
+vectorized lock-step batch backend, through adaptive ``"auto"`` backend
+selection, and replayed from the content-addressed cache),
+featurization, and MLP training — and writes the numbers to
+``BENCH_pipeline.json``.
 
-The benchmark is also a correctness check, with a different oracle per
-tier: the parallel, batched, auto and cache-replayed exact-tier traces
-are compared bit-for-bit against the serial ones (and the batch-collected
-traces must reproduce the identical attack outcome), while the fast-tier
-traces are measured against the serial ones by the runtime equivalence
-certificate (:mod:`repro.exec.equivalence`) — written next to the report
-as ``<out>.equiv.json`` with the end-to-end attack outcome attached,
-which must be *identical*.  A speedup that comes at the price of changed
-results fails loudly rather than silently.  Every collection leg pins
-its backend *and* precision tier explicitly (the auto probe pins only
-the tier — the backend pick is what it measures), so an ambient
-``REPRO_BACKEND`` or ``REPRO_PRECISION`` (e.g. the CI batch matrix or
-fast-tier legs) cannot silently reroute the baselines it is measured
-against.  Host wall-clock reads here measure
-*our* runtime, never the simulation (this module is a sanctioned MAYA002
-timing site).
+The benchmark is also a correctness check: the parallel, batched, auto
+and cache-replayed traces are compared bit-for-bit against the serial
+ones (and the batch-collected traces must reproduce the identical attack
+outcome).  A speedup that comes at the price of changed results fails
+loudly rather than silently.  Every collection leg but the auto probe
+pins its backend explicitly (the auto probe's backend pick is what it
+measures), so an ambient ``REPRO_BACKEND`` (e.g. the CI batch matrix leg)
+cannot silently reroute the baselines it is measured against.  Host
+wall-clock reads here measure *our* runtime, never the simulation (this
+module is a sanctioned MAYA002 timing site).
 """
 
 from __future__ import annotations
@@ -48,12 +42,6 @@ from ..attacks.pipeline import (
 )
 from ..defenses.designs import DefenseFactory
 from ..exec import TraceCache, choose_backend, record_run, resolve_workers
-from ..exec.equivalence import (
-    attach_attack_outcome,
-    certify_traces,
-    require,
-    write_certificate,
-)
 from ..machine import SYS1, Trace
 from ..telemetry import MetricsRegistry
 from ..telemetry import profile as _profile
@@ -61,7 +49,7 @@ from ..telemetry import profile as _profile
 __all__ = ["DEFAULT_OUT", "SCHEMA", "bench_scenario", "run_bench", "store_bench"]
 
 DEFAULT_OUT = "BENCH_pipeline.json"
-SCHEMA = "maya.bench.pipeline.v5"
+SCHEMA = "maya.bench.pipeline.v6"
 
 #: Minimum parallel-over-serial collection speedup ``--check`` demands on
 #: multi-core hosts.  The issue targets ~2x with 4 workers; 1.3x keeps the
@@ -72,12 +60,6 @@ CHECK_MIN_SPEEDUP = 1.3
 #: batch backend needs no extra cores — vectorizing the tick-level physics
 #: across the fleet comfortably clears 2x even on one CPU.
 BATCH_CHECK_MIN_SPEEDUP = 2.0
-
-#: Minimum fast-tier-over-serial collection speedup ``--check`` demands.
-#: The fast tier batches the transcendentals, the controller matmul and the
-#: AR(1) noise across the fleet *and* fast-forwards whole windows of
-#: constant-settings phase bookkeeping, so 10x holds even on one CPU.
-FAST_CHECK_MIN_SPEEDUP = 10.0
 
 #: Floor for the ``backend="auto"`` probe: adaptive selection must never
 #: pick a backend slower than just running the jobs serially.  This is a
@@ -310,34 +292,23 @@ def run_bench(
     serial_runs = _timed(
         "collect_serial_s",
         lambda: simulate_runs(
-            scenario, factory, workers=1, cache=False, backend="serial",
-            precision="exact",
+            scenario, factory, workers=1, cache=False, backend="serial"
         ),
     )
 
     parallel_runs = _timed(
         "collect_parallel_s",
         lambda: simulate_runs(
-            scenario, factory, workers=workers, cache=False, backend="process",
-            precision="exact",
+            scenario, factory, workers=workers, cache=False, backend="process"
         ),
     )
     parallel_matches = _traces_equal(serial_runs, parallel_runs)
 
     batched_runs = _timed(
         "collect_batched_s",
-        lambda: simulate_runs(
-            scenario, factory, cache=False, backend="batch", precision="exact"
-        ),
+        lambda: simulate_runs(scenario, factory, cache=False, backend="batch"),
     )
     batched_matches = _traces_equal(serial_runs, batched_runs)
-
-    fast_runs = _timed(
-        "collect_fast_s",
-        lambda: simulate_runs(
-            scenario, factory, cache=False, backend="batch", precision="fast"
-        ),
-    )
 
     # The auto probe measures what a caller who sets nothing gets: the
     # heuristic's pick for this job list on this host, timed end to end.
@@ -345,8 +316,7 @@ def run_bench(
     auto_runs = _timed(
         "collect_auto_s",
         lambda: simulate_runs(
-            scenario, factory, workers=workers, cache=False, backend="auto",
-            precision="exact",
+            scenario, factory, workers=workers, cache=False, backend="auto"
         ),
     )
     auto_matches = _traces_equal(serial_runs, auto_runs)
@@ -360,15 +330,11 @@ def run_bench(
             bench_root = Path(cache_dir)
             bench_root.mkdir(parents=True, exist_ok=True)
         cache = TraceCache(root=bench_root / "replay")
-        simulate_runs(
-            scenario, factory, workers=1, cache=cache, backend="serial",
-            precision="exact",
-        )
+        simulate_runs(scenario, factory, workers=1, cache=cache, backend="serial")
         cached_runs = _timed(
             "collect_cached_s",
             lambda: simulate_runs(
-                scenario, factory, workers=1, cache=cache, backend="serial",
-                precision="exact",
+                scenario, factory, workers=1, cache=cache, backend="serial"
             ),
         )
         cache_hits = cache.hits
@@ -387,8 +353,7 @@ def run_bench(
             profiled_runs = _timed(
                 "collect_profiled_s",
                 lambda: simulate_runs(
-                    scenario, factory, workers=1, cache=False, backend="serial",
-                    precision="exact",
+                    scenario, factory, workers=1, cache=False, backend="serial"
                 ),
             )
         finally:
@@ -411,17 +376,6 @@ def run_bench(
         and (batched_outcome.result.matrix == outcome.result.matrix).all()
     )
 
-    # Fast-tier oracle: the runtime equivalence certificate, with the
-    # end-to-end attack outcome attached (required identical).  The cert
-    # is persisted next to the report *before* being enforced, so a
-    # failing run leaves its evidence behind.
-    fast_outcome = train_and_evaluate(scenario, sample_runs(scenario, fast_runs))
-    equivalence = certify_traces(
-        [trace for class_runs in serial_runs for trace in class_runs],
-        [trace for class_runs in fast_runs for trace in class_runs],
-    )
-    attach_attack_outcome(equivalence, outcome, fast_outcome)
-
     profile_overhead_pct = (
         timings["collect_profiled_s"] / max(timings["collect_serial_s"], 1e-9) - 1.0
     ) * 100.0
@@ -431,7 +385,6 @@ def run_bench(
 
     speedup = timings["collect_serial_s"] / max(timings["collect_parallel_s"], 1e-9)
     batched_speedup = timings["collect_serial_s"] / max(timings["collect_batched_s"], 1e-9)
-    fast_speedup = timings["collect_serial_s"] / max(timings["collect_fast_s"], 1e-9)
     auto_speedup = timings["collect_serial_s"] / max(timings["collect_auto_s"], 1e-9)
     cache_speedup = timings["collect_serial_s"] / max(timings["collect_cached_s"], 1e-9)
     cpu_count = os.cpu_count() or 1
@@ -447,7 +400,6 @@ def run_bench(
         "metrics": registry.render(),
         "parallel_speedup": speedup,
         "batched_speedup": batched_speedup,
-        "fast_speedup": fast_speedup,
         "auto_speedup": auto_speedup,
         "auto_backend": auto_backend,
         "cache_speedup": cache_speedup,
@@ -457,7 +409,6 @@ def run_bench(
         "batched_matches_serial": bool(batched_matches),
         "batched_outcome_matches_serial": outcome_matches,
         "auto_matches_serial": bool(auto_matches),
-        "fast_certified": bool(equivalence["ok"]),
         "cached_matches_serial": bool(cached_matches),
         "profiled_matches_serial": bool(profiled_matches),
         "profile_overhead_pct": profile_overhead_pct,
@@ -465,8 +416,6 @@ def run_bench(
     }
     out_path = Path(out_path)
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    cert_path = out_path.with_name(out_path.stem + ".equiv.json")
-    write_certificate(equivalence, cert_path)
 
     # Bind the report to its inputs in the run registry (no-op unless
     # REPRO_REGISTRY is on): job keys + code salt + git SHA + artifact
@@ -475,12 +424,11 @@ def run_bench(
         kind="bench",
         name=scenario.name,
         jobs=scenario_jobs(scenario, factory),
-        artifacts=[out_path, cert_path],
+        artifacts=[out_path],
         results={
             "attack_accuracy": outcome.average_accuracy,
             "parallel_speedup": speedup,
             "batched_speedup": batched_speedup,
-            "fast_speedup": fast_speedup,
             "auto_speedup": auto_speedup,
             "cache_speedup": cache_speedup,
             "store_put_per_s": store["put_per_s"],
@@ -507,9 +455,6 @@ def run_bench(
         raise AssertionError("cached traces differ from serial traces")
     if not profiled_matches:
         raise AssertionError("profiled traces differ from serial traces")
-    # Always enforced, --check or not: a fast trace past its certified
-    # bound (or a flipped attack outcome) is a wrong answer.
-    require(equivalence)
     # Store invariants (also unconditional — correctness, not speed): every
     # session written must read back, and eviction must run from journaled
     # stats alone, never a full-tree rescan.
@@ -539,11 +484,6 @@ def run_bench(
             raise AssertionError(
                 f"batched speedup {batched_speedup:.2f}x below the "
                 f"{BATCH_CHECK_MIN_SPEEDUP}x floor"
-            )
-        if fast_speedup < FAST_CHECK_MIN_SPEEDUP:
-            raise AssertionError(
-                f"fast-tier speedup {fast_speedup:.2f}x below the "
-                f"{FAST_CHECK_MIN_SPEEDUP}x floor"
             )
         # The auto floor applies to whatever backend the heuristic picked
         # — on a single-core host that pick is typically batch or serial,

@@ -56,7 +56,7 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument(
         "--check", action="store_true",
         help="fail unless the parallel leg hits the speedup floor "
-        "(multi-core hosts), the batched/fast/auto legs clear their own "
+        "(multi-core hosts), the batched/auto legs clear their own "
         "floors, the cache replay hits every session, the packed-group "
         "store replay clears its floor, and span profiling stays under "
         "its overhead budget",

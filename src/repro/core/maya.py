@@ -98,28 +98,6 @@ class MayaInstance:
         from ..masks import next_targets
 
         targets_w = next_targets([instance.mask for instance in instances])
-        return MayaInstance._step_fleets(instances, targets_w, measured_w)
-
-    @staticmethod
-    def decide_fleet_fast(
-        instances: "list[MayaInstance]", measured_w: "list[float]"
-    ) -> "list[ActuatorSettings]":
-        """Fast-tier fleet wake-up: vectorized mask sinusoids, exact controller.
-
-        The mask sinusoids evaluate through one batched ``np.sin``
-        (:func:`repro.masks.next_targets_fast`), the tier's one loosening
-        here, bounded by the certified transcendental site and re-measured
-        by the runtime equivalence certificate.  The controller is the
-        exact-tier :meth:`ControllerFleet.step`.
-        """
-        from ..masks import next_targets_fast
-
-        targets_w = next_targets_fast([instance.mask for instance in instances])
-        return MayaInstance._step_fleets(instances, targets_w, measured_w)
-
-    @staticmethod
-    def _step_fleets(instances, targets_w, measured_w) -> list:
-        """Record the targets, then step one controller fleet per design."""
         groups: dict = {}
         for index, (instance, target_w) in enumerate(zip(instances, targets_w.tolist())):
             instance.current_target_w = target_w

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..machine import ActuatorSettings, SimulatedMachine
 
-__all__ = ["Defense", "decide_batch", "decide_batch_fast"]
+__all__ = ["Defense", "decide_batch"]
 
 
 class Defense(abc.ABC):
@@ -23,13 +23,6 @@ class Defense(abc.ABC):
 
     #: Registry name; subclasses override.
     name: str = "abstract"
-
-    #: True when, after :meth:`prepare`, every :meth:`decide` returns the
-    #: same settings regardless of the measurement, consumes no RNG, and
-    #: leaves ``current_target_w``/:meth:`diagnostics` untouched.  The fast
-    #: tier uses this to evaluate whole sessions in one shot instead of
-    #: interval-by-interval.
-    constant_settings: bool = False
 
     def __init__(self) -> None:
         self.current_target_w = float("nan")
@@ -75,36 +68,6 @@ def decide_batch(defenses, measured_w) -> list:
     ]
     if maya_indices:
         fleet_settings = MayaDefense.decide_fleet(
-            [defenses[index] for index in maya_indices],
-            [float(measured_w[index]) for index in maya_indices],
-        )
-        for index, decided in zip(maya_indices, fleet_settings):
-            settings[index] = decided
-    for index, defense in enumerate(defenses):
-        if settings[index] is None:
-            settings[index] = defense.decide(float(measured_w[index]))
-    return settings
-
-
-def decide_batch_fast(defenses, measured_w) -> list:
-    """Fast-tier :func:`decide_batch`: Maya masks evaluate one vector ``sin``.
-
-    Identical routing, but Maya instances decide through
-    :meth:`MayaDefense.decide_fleet_fast`: vectorized mask sinusoids
-    (certified-equivalent rather than bit-identical) feeding the exact
-    controller fleet step.  Non-Maya
-    defenses are untouched — their per-session ``decide`` is already
-    scalar-cheap and exact.
-    """
-    from .designs import MayaDefense
-
-    settings: list = [None] * len(defenses)
-    maya_indices = [
-        index for index, defense in enumerate(defenses)
-        if isinstance(defense, MayaDefense)
-    ]
-    if maya_indices:
-        fleet_settings = MayaDefense.decide_fleet_fast(
             [defenses[index] for index in maya_indices],
             [float(measured_w[index]) for index in maya_indices],
         )

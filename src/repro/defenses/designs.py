@@ -36,7 +36,6 @@ class Baseline(Defense):
     """High-performance insecure system without added noise."""
 
     name = "baseline"
-    constant_settings = True
 
     def prepare(self, machine: SimulatedMachine, rng: np.random.Generator) -> None:
         self._settings = machine.bank.max_performance()
@@ -52,7 +51,6 @@ class NoisyBaseline(Defense):
     """One random actuation triple per run, held for the whole execution."""
 
     name = "noisy_baseline"
-    constant_settings = True
 
     def prepare(self, machine: SimulatedMachine, rng: np.random.Generator) -> None:
         self._settings = machine.bank.random_settings(rng)
@@ -150,20 +148,6 @@ class MayaDefense(Defense):
             assert defense._instance is not None, "prepare() must be called first"
             instances.append(defense._instance)
         settings = MayaInstance.decide_fleet(instances, measured_w)
-        for defense, instance in zip(defenses, instances):
-            defense.current_target_w = instance.current_target_w
-        return settings
-
-    @staticmethod
-    def decide_fleet_fast(
-        defenses: "list[MayaDefense]", measured_w: "list[float]"
-    ) -> "list[ActuatorSettings]":
-        """Fast-tier :meth:`decide_fleet` (see ``MayaInstance.decide_fleet_fast``)."""
-        instances = []
-        for defense in defenses:
-            assert defense._instance is not None, "prepare() must be called first"
-            instances.append(defense._instance)
-        settings = MayaInstance.decide_fleet_fast(instances, measured_w)
         for defense, instance in zip(defenses, instances):
             defense.current_target_w = instance.current_target_w
         return settings

@@ -29,22 +29,12 @@ from .engine import (
     resolve_workers,
     run_sessions,
 )
-from .equivalence import (
-    CERT_SCHEMA,
-    EquivalenceError,
-    certify_traces,
-    load_certificate,
-    require,
-    write_certificate,
-)
 from .jobs import (
     CACHE_EPOCH,
-    PRECISIONS,
     SessionJob,
     code_salt,
     execute_job,
     register_factory,
-    resolve_precision,
 )
 from .registry import (
     MANIFEST_SCHEMA,
@@ -73,16 +63,8 @@ __all__ = [
     "resolve_workers",
     "run_sessions",
     "CACHE_EPOCH",
-    "CERT_SCHEMA",
-    "EquivalenceError",
-    "PRECISIONS",
     "SessionJob",
-    "certify_traces",
     "code_salt",
     "execute_job",
-    "load_certificate",
     "register_factory",
-    "require",
-    "resolve_precision",
-    "write_certificate",
 ]

@@ -1,6 +1,6 @@
 """CLI: trace-store maintenance and run-registry queries.
 
-``python -m repro.exec --cache {stats,clear,migrate,export,import}``
+``python -m repro.exec --cache {stats,clear,export,import}``
 operates on the sharded trace store (``--dir`` defaults to
 ``REPRO_CACHE_DIR`` or ``.maya-cache/``); ``export``/``import`` move
 shard tarballs (``--archive``) so fleets can merge caches.
@@ -31,9 +31,9 @@ def _build_parser() -> argparse.ArgumentParser:
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument(
         "--cache",
-        choices=("stats", "clear", "migrate", "export", "import"),
-        help="trace store: print statistics, remove every entry, migrate a "
-             "v1 flat layout into shards, or export/import a shard tarball",
+        choices=("stats", "clear", "export", "import"),
+        help="trace store: print statistics, remove every entry, or "
+             "export/import a shard tarball",
     )
     action.add_argument(
         "--registry",
@@ -73,10 +73,6 @@ def _cache_main(args) -> int:
     elif args.cache == "clear":
         removed = cache.clear()
         print(json.dumps({"dir": str(cache.root), "removed": removed},
-                         sort_keys=True))
-    elif args.cache == "migrate":
-        migrated = cache.migrate()
-        print(json.dumps({"dir": str(cache.root), "migrated": migrated},
                          sort_keys=True))
     else:
         if not args.archive:

@@ -107,30 +107,15 @@ def batch_key(job: SessionJob) -> "tuple | None":
     """Grouping key of jobs that may share one lock-step batch.
 
     Sessions advance lock-step only when they share the same platform and
-    the same tick/interval/duration grid.  Under the exact tier,
-    completion-mode jobs (``duration_s is None``) and temperature-recording
-    jobs return ``None`` and fall back to the serial runner: their
-    per-session loop lengths and thermal state are not lock-step computable
-    without relaxing bit-identity.  The fast tier batches *everything* —
-    masked per-row termination lets finished sessions coast while the
-    fleet advances — so its key also carries the completion/thermal grid
-    parameters.  Exact and fast jobs never share a group.
+    the same tick/interval/duration grid.  Completion-mode jobs
+    (``duration_s is None``) and temperature-recording jobs return ``None``
+    and fall back to the serial runner: their per-session loop lengths and
+    thermal state are not lock-step computable without relaxing
+    bit-identity.
     """
-    if job.precision == "fast":
-        return (
-            "fast",
-            job.spec,
-            None if job.duration_s is None else float(job.duration_s),
-            float(job.interval_s),
-            float(job.tick_s),
-            float(job.max_duration_s),
-            float(job.tail_s),
-            bool(job.record_temperature),
-        )
     if job.duration_s is None or job.record_temperature:
         return None
     return (
-        "exact",
         job.spec,
         float(job.duration_s),
         float(job.interval_s),
@@ -223,7 +208,6 @@ def build_fleet(
 
     The spawn keys replay ``run_session``'s seeding scheme verbatim, so
     every per-session stream is the one the serial runner would use.
-    Shared by the exact lock-step backend and the fast tier.
     """
     machines: list[SimulatedMachine] = []
     defenses: list = []
@@ -247,7 +231,7 @@ def build_fleet(
     return machines, defenses, sensors
 
 
-def open_channels(jobs, machines, defenses, engine: str) -> "list | None":
+def open_channels(jobs, machines, defenses) -> "list | None":
     """One telemetry channel per session (or ``None`` when recording is off).
 
     Per-session channels let an interleaved lock-step loop still yield one
@@ -260,7 +244,7 @@ def open_channels(jobs, machines, defenses, engine: str) -> "list | None":
         return None
     return [
         recorder.session(
-            engine=engine,
+            engine="lockstep",
             job_key=job.key(),
             platform=job.spec.name,
             workload=machine.workload.name,
@@ -273,7 +257,6 @@ def open_channels(jobs, machines, defenses, engine: str) -> "list | None":
             max_duration_s=job.max_duration_s,
             tail_s=job.tail_s,
             record_temperature=job.record_temperature,
-            precision=job.precision,
         )
         for job, machine, defense in zip(jobs, machines, defenses)
     ]
@@ -285,9 +268,8 @@ def execute_jobs_batched(
     """Simulate compatible jobs lock-step, in job order.
 
     All jobs must share one :func:`batch_key`; the caller (the engine's
-    batch grouping) guarantees this.  Exact-tier traces are each
-    bit-identical to ``job.execute()``; fast-tier groups route through
-    :mod:`repro.exec.fast` and are certified-equivalent instead.
+    batch grouping) guarantees this.  Each trace is bit-identical to
+    ``job.execute()``.
     """
     jobs = list(jobs)
     if not jobs:
@@ -295,14 +277,10 @@ def execute_jobs_batched(
     keys = {batch_key(job) for job in jobs}
     if None in keys or len(keys) != 1:
         raise ValueError("jobs of one batch must share a batch_key")
-    if jobs[0].precision == "fast":
-        from .fast import run_jobs_fast
-
-        return run_jobs_fast(jobs, factory)
 
     with profile.span("fleet.build", sessions=len(jobs)):
         machines, defenses, sensors = build_fleet(jobs, factory)
-        channels = open_channels(jobs, machines, defenses, engine="lockstep")
+        channels = open_channels(jobs, machines, defenses)
 
     template = jobs[0]
     traces = _run_lockstep(

@@ -12,13 +12,10 @@ Layout (v2)::
     <root>/journal.jsonl                     append-only stats/LRU journal
     <root>/shards/<id[:2]>/<key>.npz         one session entry
     <root>/shards/<id[:2]>/<key>.events.jsonl   telemetry sidecar
-    <root>/shards/<id[:2]>/<key>.equiv.json     equivalence certificate
     <root>/shards/<d[:2]>/pack-<d>.npz       packed group entry (see below)
 
 Entries fan out into 256 shard directories by content-address prefix so no
-single directory grows unboundedly.  A v1 flat layout found at the root is
-migrated in place on first open (``REPRO_CACHE_MIGRATE=0`` disables the
-migration, turning old entries into cold misses).
+single directory grows unboundedly.
 
 Properties:
 
@@ -40,7 +37,7 @@ Properties:
   ``max_bytes`` (``REPRO_CACHE_MAX_MB``, default 512 MB), evicting the
   least-recently-used entries (hits move an entry to the journal's tail).
   The newest entry is never evicted, and eviction deletes the entry's
-  sidecars (telemetry events *and* equivalence certificates) with it;
+  telemetry sidecars with it;
 * **bulk I/O** — :meth:`get_many`/:meth:`put_many` resolve a whole job
   group against one journal refresh and one journal append.
   :meth:`put_many` stores a lock-step batch as a single *packed group
@@ -71,8 +68,7 @@ Environment:
 * ``REPRO_CACHE=1`` — enable the default cache for every
   :func:`~repro.exec.engine.run_sessions` call;
 * ``REPRO_CACHE_DIR`` — cache directory (default ``.maya-cache/``);
-* ``REPRO_CACHE_MAX_MB`` — size bound in megabytes;
-* ``REPRO_CACHE_MIGRATE=0`` — leave v1 flat entries in place (cold miss).
+* ``REPRO_CACHE_MAX_MB`` — size bound in megabytes.
 """
 
 from __future__ import annotations
@@ -102,7 +98,6 @@ __all__ = [
 DEFAULT_CACHE_DIR = ".maya-cache"
 _DEFAULT_MAX_MB = 512.0
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
-_FALSY = frozenset({"0", "false", "no", "off"})
 
 #: On-disk layout generation (v1 = flat directory, v2 = sharded + journal).
 LAYOUT_VERSION = 2
@@ -111,8 +106,8 @@ PACK_SCHEMA = "maya.trace.pack.npz.v1"
 
 _JOURNAL = "journal.jsonl"
 _SHARDS = "shards"
-#: Sidecar files an entry may carry per session key.
-_SIDECAR_SUFFIXES = (".events.jsonl", ".equiv.json")
+#: Suffix of the telemetry sidecar an entry may carry per session key.
+_SIDECAR_SUFFIX = ".events.jsonl"
 #: Compact the journal once it holds this many records beyond the live set.
 _COMPACT_SLACK = 4096
 
@@ -157,8 +152,6 @@ class TraceCache:
         #: Full shard-tree scans this handle performed (recovery only —
         #: steady-state operation must keep this at 0; the bench asserts it).
         self.tree_scans = 0
-        #: v1 flat entries this handle migrated into shards.
-        self.migrated = 0
         # Journal-replayed state: entry id -> [bytes, (keys...)], in LRU
         # order (dict insertion order; a hit re-inserts at the tail).
         self._entries: dict | None = None
@@ -170,8 +163,6 @@ class TraceCache:
         # Lifetime compaction count, carried in the journal's "layout"
         # header so fresh handles (and the stats CLI) see it.
         self._compactions = 0
-        flag = os.environ.get("REPRO_CACHE_MIGRATE", "").strip().lower()
-        self._migrate_on_open = flag not in _FALSY
 
     # -- paths ---------------------------------------------------------
 
@@ -195,16 +186,9 @@ class TraceCache:
         key = job.key()
         return self.root / _SHARDS / key[:2] / f"{key}.npz"
 
-    def _key_sidecar(self, key: str, suffix: str) -> Path:
-        return self.root / _SHARDS / key[:2] / f"{key}{suffix}"
-
-    def _sidecar(self, path: Path) -> Path:
-        """The telemetry sidecar of a cache entry (``<key>.events.jsonl``)."""
-        return path.with_name(path.stem + ".events.jsonl")
-
-    def certificate_path(self, job) -> Path:
-        """Where ``job``'s equivalence certificate sidecar lives."""
-        return self._key_sidecar(job.key(), ".equiv.json")
+    def _key_sidecar(self, key: str) -> Path:
+        """The telemetry sidecar of a session key (``<key>.events.jsonl``)."""
+        return self.root / _SHARDS / key[:2] / f"{key}{_SIDECAR_SUFFIX}"
 
     # -- journal -------------------------------------------------------
 
@@ -221,8 +205,6 @@ class TraceCache:
             self._replay()
         elif (self.root / _SHARDS).is_dir():
             self._rebuild_from_scan()
-        if self._migrate_on_open:
-            self._migrate_flat()
 
     def _replay(self) -> None:
         """Apply journal records from ``_journal_pos`` to the current end.
@@ -293,6 +275,8 @@ class TraceCache:
             if entry is not None:
                 self._entries[record["id"]] = entry  # move to MRU tail
         elif op == "resize":
+            # No longer written; journals from stores that held equivalence
+            # certificate sidecars still carry these records.
             entry = self._entries.get(record.get("id"))
             if entry is not None:
                 nbytes = int(record.get("bytes") or 0)
@@ -372,7 +356,7 @@ class TraceCache:
         self._journal_pos = len(data)
         self._records_seen = len(self._entries) + 1
 
-    # -- recovery & migration ------------------------------------------
+    # -- recovery ------------------------------------------------------
 
     def _rebuild_from_scan(self) -> None:
         """Re-derive the journal from the shard tree (recovery path).
@@ -414,53 +398,8 @@ class TraceCache:
             keys = [path.stem]
         nbytes = _file_bytes(path)
         for key in keys:
-            for suffix in _SIDECAR_SUFFIXES:
-                nbytes += _file_bytes(self._key_sidecar(key, suffix))
+            nbytes += _file_bytes(self._key_sidecar(key))
         return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
-
-    def _migrate_flat(self) -> int:
-        """Move v1 flat-layout entries into shards (one-time, idempotent)."""
-        if not self.root.is_dir():
-            return 0
-        stamped = []
-        for path in sorted(self.root.glob("*.npz")):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            stamped.append((stat.st_mtime, path.name, path))
-        records = []
-        for _, _, path in sorted(stamped):  # oldest first: keep v1 LRU order
-            key = path.stem
-            target = self.root / _SHARDS / key[:2] / path.name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            try:
-                os.replace(path, target)
-            except OSError:
-                continue
-            nbytes = _file_bytes(target)
-            for suffix in _SIDECAR_SUFFIXES:
-                side = path.with_name(key + suffix)
-                try:
-                    os.replace(side, target.with_name(key + suffix))
-                except OSError:
-                    continue
-                nbytes += _file_bytes(target.with_name(key + suffix))
-            records.append({"op": "put", "id": key, "bytes": nbytes,
-                            "keys": [key]})
-        self._commit(records)
-        if records:
-            self.migrated += len(records)
-            telemetry.count("exec.cache.migrated", len(records))
-        return len(records)
-
-    def migrate(self) -> int:
-        """Migrate any v1 flat entries into shards; returns the count."""
-        if self._entries is None:
-            self._migrate_on_open = True
-            self._ensure_state()
-            return self.migrated
-        return self._migrate_flat()
 
     # -- lookup --------------------------------------------------------
 
@@ -496,9 +435,7 @@ class TraceCache:
             touched[entry_id] = True
             self.hits += 1
             telemetry.count("exec.cache.hits")
-            telemetry.restore_session_events(
-                self._key_sidecar(key, ".events.jsonl"), job
-            )
+            telemetry.restore_session_events(self._key_sidecar(key), job)
         self._commit([{"op": "touch", "id": entry_id} for entry_id in touched])
         return results
 
@@ -566,14 +503,14 @@ class TraceCache:
             tmp.unlink(missing_ok=True)
 
     def _sidecar_bytes(self, job, key: str) -> int:
-        """Store the job's telemetry sidecar; return all sidecar bytes."""
-        sidecar = self._key_sidecar(key, ".events.jsonl")
+        """Store the job's telemetry sidecar; return its bytes."""
+        sidecar = self._key_sidecar(key)
         written = telemetry.store_session_events(sidecar, job)
         if not written:
             # Recording is off (or the session left no stream): a sidecar
             # from an earlier recording run still occupies disk — count it.
             written = _file_bytes(sidecar)
-        return written + _file_bytes(self._key_sidecar(key, ".equiv.json"))
+        return written
 
     def _put_single(self, job, trace: Trace) -> dict:
         key = job.key()
@@ -594,30 +531,6 @@ class TraceCache:
             nbytes += self._sidecar_bytes(job, key)
         return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
 
-    def put_certificate(self, job, cert: dict) -> Path:
-        """Write ``job``'s equivalence certificate beside its entry.
-
-        The certificate's bytes join the owning entry's size accounting
-        (a ``resize`` journal record), so certified stores stay within
-        ``REPRO_CACHE_MAX_MB`` too.
-        """
-        from .equivalence import write_certificate
-
-        self._refresh()
-        key = job.key()
-        path = self.certificate_path(job)
-        old_bytes = _file_bytes(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_certificate(cert, path)
-        entry_id = self._by_key.get(key)
-        if entry_id is not None:
-            entry = self._entries.get(entry_id)
-            if entry is not None:
-                new_total = entry[0] + _file_bytes(path) - old_bytes
-                self._commit([{"op": "resize", "id": entry_id,
-                               "bytes": new_total}])
-        return path
-
     # -- maintenance ---------------------------------------------------
 
     def entries(self) -> list:
@@ -634,8 +547,7 @@ class TraceCache:
                 # The key was re-stored under a newer entry; its sidecars
                 # belong to that entry now.
                 continue
-            for suffix in _SIDECAR_SUFFIXES:
-                self._key_sidecar(key, suffix).unlink(missing_ok=True)
+            self._key_sidecar(key).unlink(missing_ok=True)
 
     def _evict(self) -> None:
         if self._total_bytes <= self.max_bytes:
@@ -729,17 +641,12 @@ class TraceCache:
                 except OSError:
                     pass
         if self.root.is_dir():
-            # v1 leftovers and stale temp files at the root.
-            flat = sorted(self.root.glob("*.npz")) + sorted(self.root.glob(".*.tmp"))
-            for path in flat:
+            # Stale temp files at the root (an interrupted compaction).
+            for path in sorted(self.root.glob(".*.tmp")):
                 try:
                     path.unlink()
                 except OSError:
                     continue
-                if path.suffix == ".npz":
-                    path.with_name(path.stem + ".events.jsonl").unlink(missing_ok=True)
-                    path.with_name(path.stem + ".equiv.json").unlink(missing_ok=True)
-                    removed += 1
         self._commit([{"op": "clear"}])
         self._maybe_compact_after_clear()
         return removed

@@ -41,7 +41,7 @@ from ..defenses.designs import DefenseFactory
 from ..machine import Trace
 from .batch import batch_key, execute_jobs_batched, resolve_batch_size
 from .cache import TraceCache, default_cache
-from .jobs import SessionJob, execute_job, register_factory, resolve_precision
+from .jobs import SessionJob, execute_job, register_factory
 
 __all__ = [
     "BACKENDS",
@@ -168,7 +168,6 @@ def run_sessions(
     timeout_s: object = None,
     backend: object = None,
     batch_size: object = None,
-    precision: object = None,
 ) -> list:
     """Execute ``jobs`` and return their traces **in job order**.
 
@@ -182,24 +181,12 @@ def run_sessions(
       workers).
     * ``timeout_s`` — per-job timeout (default ``REPRO_JOB_TIMEOUT_S`` or
       600 s); a timed-out or crashed job is retried once in-process.
-    * ``backend`` — see :func:`resolve_backend`.  Under the ``"exact"``
-      tier every backend returns bit-identical traces; only the fan-out
-      strategy differs.
+    * ``backend`` — see :func:`resolve_backend`.  Every backend returns
+      bit-identical traces; only the fan-out strategy differs.
     * ``batch_size`` — sessions per lock-step batch under the batch
       backend (:func:`~repro.exec.batch.resolve_batch_size`).
-    * ``precision`` — force a numeric tier on every job
-      (:func:`~repro.exec.jobs.resolve_precision`: explicit argument >
-      ``REPRO_PRECISION`` env > each job's own ``precision`` field).
     """
-    from dataclasses import replace
-
     jobs = list(jobs)
-    forced = resolve_precision(precision)
-    if forced is not None:
-        jobs = [
-            job if job.precision == forced else replace(job, precision=forced)
-            for job in jobs
-        ]
     backend = resolve_backend(backend)
     workers = resolve_workers(workers)
     if backend == "auto":
@@ -334,8 +321,6 @@ def _execute_batched(jobs, pending, results, factory, cache, batch_size):
                         # packs the whole chunk into a single group entry.
                         with profile.span("cache.put"):
                             cache.put_many(chunk_jobs, traces)
-                if jobs[chunk[0]].precision == "fast" and _certify_enabled():
-                    _certify_group(chunk_jobs, traces, factory, cache)
     for index in ungroupable:
         telemetry.ops("job.begin", index=index, fallback="serial")
         with profile.span("job", key=_span_key(jobs[index]), index=index):
@@ -344,40 +329,6 @@ def _execute_batched(jobs, pending, results, factory, cache, batch_size):
                 with profile.span("cache.put"):
                     cache.put(jobs[index], results[index])
         telemetry.ops("job.end", index=index)
-
-
-def _certify_enabled() -> bool:
-    """Whether ``REPRO_CERTIFY`` asks for runtime equivalence certification."""
-    return os.environ.get("REPRO_CERTIFY", "").strip().lower() in {
-        "1", "true", "yes", "on",
-    }
-
-
-def _certify_group(group_jobs, fast_traces, factory, cache) -> None:
-    """Re-run a fast batch group exactly and emit its equivalence certificate.
-
-    Certification mode (``REPRO_CERTIFY=1``) trades throughput for proof:
-    every fast group is re-simulated through the serial exact runner, the
-    per-field errors are measured against the static ``certs/numeric/``
-    bounds, and the certificate lands next to the group's first cache
-    entry (``<key>.equiv.json`` in the key's shard, charged to the
-    entry's size accounting).  A certificate whose measured error
-    exceeds its cited bound fails the run loudly *after* the certificate
-    is written, so the evidence survives the crash.
-    """
-    from dataclasses import replace
-
-    from .equivalence import certify_traces, require
-
-    exact_traces = [
-        replace(job, precision="exact").execute(factory=factory)
-        for job in group_jobs
-    ]
-    cert = certify_traces(exact_traces, fast_traces)
-    if cache is not None:
-        cache.put_certificate(group_jobs[0], cert)
-    telemetry.ops("batch.certified", ok=bool(cert["ok"]), size=len(group_jobs))
-    require(cert)
 
 
 def _result_or_retry(future, job: SessionJob, factory, timeout_s: float) -> Trace:

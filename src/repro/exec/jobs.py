@@ -37,45 +37,20 @@ __all__ = [
     "register_factory",
     "code_salt",
     "CACHE_EPOCH",
-    "PRECISIONS",
-    "resolve_precision",
 ]
-
-#: Supported numeric tiers for a session, in contract-strength order.
-PRECISIONS = ("exact", "fast")
-
-
-def resolve_precision(precision: str | None = None) -> str | None:
-    """The precision tier to force on a batch of jobs, or ``None``.
-
-    Explicit argument wins; otherwise the ``REPRO_PRECISION`` environment
-    variable; otherwise ``None``, meaning each job's own ``precision``
-    field is respected as-is.
-    """
-    import os
-
-    if precision is None:
-        precision = os.environ.get("REPRO_PRECISION", "").strip() or None
-    if precision is not None and precision not in PRECISIONS:
-        raise ValueError(
-            f"precision must be one of {PRECISIONS}, got {precision!r}"
-        )
-    return precision
 
 #: Bump to invalidate every cached trace when simulation *semantics* change
 #: without a source-text change (e.g. a numpy upgrade known to alter
 #: results).  Source-text changes are caught automatically by the salt.
 CACHE_EPOCH = 1
 
-#: Packages (or single modules, like the fast-tier kernels) whose sources
-#: define what a simulated session computes.  The cache key is salted with
-#: their content digest, so editing any of them invalidates every cached
-#: trace.  ``exec/fast`` is salted even though the rest of ``exec`` is not:
-#: the exact backends are bit-identical by contract (their code cannot
-#: change trace values), while fast-tier traces *are* a function of the
-#: fast kernels.
+#: Packages (or single modules) whose sources define what a simulated
+#: session computes.  The cache key is salted with their content digest, so
+#: editing any of them invalidates every cached trace.  ``exec`` is not
+#: salted: its backends are bit-identical by contract, so their code cannot
+#: change trace values.
 _SIMULATION_PACKAGES = (
-    "core", "machine", "defenses", "workloads", "control", "masks", "exec/fast",
+    "core", "machine", "defenses", "workloads", "control", "masks",
 )
 
 
@@ -191,19 +166,10 @@ class SessionJob:
     tail_s: float = 2.0
     record_temperature: bool = False
     workload_jitter: float = 0.08
-    #: Numeric tier: ``"exact"`` traces are bit-identical across backends,
-    #: ``"fast"`` traces are certified-equivalent (see ``exec/equivalence``).
-    #: Part of :meth:`describe`, so exact and fast traces never collide in
-    #: the cache.
-    precision: str = "exact"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workload_kwargs", _as_pairs(self.workload_kwargs))
         object.__setattr__(self, "design_overrides", _as_pairs(self.design_overrides))
-        if self.precision not in PRECISIONS:
-            raise ValueError(
-                f"precision must be one of {PRECISIONS}, got {self.precision!r}"
-            )
 
     @classmethod
     def for_factory(
@@ -291,13 +257,6 @@ class SessionJob:
     def execute(self, factory: DefenseFactory | None = None) -> Trace:
         """Run the session and return its trace (see :meth:`resolve_factory`)."""
         factory = self.resolve_factory(factory)
-        if self.precision == "fast":
-            # One code path for the fast tier everywhere: serial/process
-            # execution of a fast job routes through the batched fast
-            # runner with a fleet of one.
-            from .batch import execute_jobs_batched
-
-            return execute_jobs_batched([self], factory)[0]
         # Bind the session's telemetry manifest to this job's content
         # address (key computation is skipped entirely when recording is
         # off — the job key hashes the whole simulation source tree).

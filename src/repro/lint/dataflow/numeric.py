@@ -4,7 +4,7 @@ The batched execution backend's contract is bit-identity with the serial
 runner (DESIGN.md §7), which is why the mask transcendentals stay scalar
 and the controller's matvecs use a fixed left-to-right accumulation
 (``np.add.accumulate``) instead of ``@``: SIMD/BLAS evaluation may
-reassociate floating-point operations.  The planned ``precision="fast"`` tier needs a
+reassociate floating-point operations.  Keeping that contract needs a
 principled inventory of *what* is order-sensitive and *at what error
 cost*, instead of hand-maintained lists.  This analysis classifies every
 floating-point expression reachable from the simulation hot paths as
@@ -32,8 +32,9 @@ Four rules are layered on that classification:
   serial twin, checked by abstract interpretation of both bodies.
 
 The per-module inventory is emitted as the machine-checkable certificate
-``maya.lint.numeric-certificate.v1`` (see :func:`numeric_certificates`),
-which the fast tier's runtime equivalence oracle will consume.
+``maya.lint.numeric-certificate.v1`` (see :func:`numeric_certificates`);
+the committed copies under ``certs/numeric/`` are a drift gate, so any new
+order-sensitive site in a hot path shows up in review.
 """
 
 from __future__ import annotations
@@ -146,7 +147,6 @@ _SCOPE_SUFFIXES = (
     "control/controller.py",
     "control/fixedpoint.py",
     "exec/batch.py",
-    "exec/fast.py",
     "core/runtime.py",
     "core/maya.py",
     "defenses/base.py",

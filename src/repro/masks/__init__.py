@@ -5,7 +5,6 @@ from .base import (
     MaskGenerator,
     SegmentedMask,
     next_targets,
-    next_targets_fast,
 )
 from .generators import (
     MASK_FAMILIES,
@@ -23,7 +22,6 @@ __all__ = [
     "MaskGenerator",
     "SegmentedMask",
     "next_targets",
-    "next_targets_fast",
     "MASK_FAMILIES",
     "ConstantMask",
     "GaussianMask",

@@ -6,12 +6,7 @@
 * ``diff <a> <b>`` — compare two session event streams after stripping
   their manifest headers.  Exit 0 when every event line is byte-identical
   (the determinism oracle: serial vs. batch backend, fresh vs. cache
-  replay), exit 1 with the first divergence otherwise.  When the two
-  manifests describe the *same session at different precision tiers*
-  (identical identity fields except ``precision``), value divergence is
-  expected — the streams are compared structurally (same events, in the
-  same sim-time order) and the per-field maximum absolute deltas are
-  reported instead of failing; only a structural mismatch exits 1.
+  replay), exit 1 with the first divergence otherwise.
 * ``overhead <off.json> <on.json>`` — compare two BENCH_pipeline.json
   reports and fail when the telemetry-on run regresses the summed phase
   timings beyond the budget (the CI overhead gate).
@@ -169,90 +164,13 @@ def _event_counts(lines: list) -> dict:
     return counts
 
 
-def _manifest_of(lines: list) -> "dict | None":
-    for line in lines:
-        payload = _parse(line)
-        if payload.get("type") == "manifest":
-            return payload
-    return None
-
-
-#: Manifest fields allowed to differ between runs that are still *the same
-#: session*: run context plus the precision tier itself.
-_CONTEXT_FIELDS = ("type", "schema", "identity", "engine", "job_key", "code_salt", "git_sha")
-
-
-def _precision_pair(manifest_a: "dict | None", manifest_b: "dict | None") -> bool:
-    """True when the manifests differ in ``precision`` and nothing else.
-
-    That is the exact-vs-fast comparison: numerically divergent by
-    contract (the fast tier is certified-equivalent, not bit-identical),
-    so the diff reports bounded deltas instead of failing.
-    """
-    if manifest_a is None or manifest_b is None:
-        return False
-    if manifest_a.get("precision") == manifest_b.get("precision"):
-        return False
-    shared = (set(manifest_a) | set(manifest_b)) - set(_CONTEXT_FIELDS) - {"precision"}
-    return all(manifest_a.get(field) == manifest_b.get(field) for field in shared)
-
-
-def _diff_divergent(events_a: list, events_b: list) -> int:
-    """Structural comparison of an expected-divergent (exact, fast) pair."""
-    if len(events_a) != len(events_b):
-        print(
-            f"structural mismatch: {len(events_a)} vs {len(events_b)} event "
-            "lines (precision tiers must emit the same event sequence)"
-        )
-        return 1
-    max_delta: dict = {}
-    for index, (line_a, line_b) in enumerate(zip(events_a, events_b)):
-        payload_a, payload_b = _parse(line_a), _parse(line_b)
-        skeleton_a = (payload_a.get("type"), payload_a.get("ev"), payload_a.get("t"))
-        skeleton_b = (payload_b.get("type"), payload_b.get("ev"), payload_b.get("t"))
-        if skeleton_a != skeleton_b:
-            print(f"structural mismatch at event line {index}:")
-            print(f"  a: {line_a}")
-            print(f"  b: {line_b}")
-            return 1
-        for field in set(payload_a) | set(payload_b):
-            value_a, value_b = payload_a.get(field), payload_b.get(field)
-            if value_a == value_b:
-                continue
-            numeric = all(
-                isinstance(value, (int, float)) and not isinstance(value, bool)
-                for value in (value_a, value_b)
-            )
-            if not numeric:
-                print(f"structural mismatch at event line {index}, field {field!r}:")
-                print(f"  a: {value_a!r}")
-                print(f"  b: {value_b!r}")
-                return 1
-            delta = abs(float(value_a) - float(value_b))
-            max_delta[field] = max(max_delta.get(field, 0.0), delta)
-    print(
-        f"expected-divergent precision pair: {len(events_a)} event lines, "
-        "structurally identical"
-    )
-    if max_delta:
-        print("max abs deltas by field:")
-        for field in sorted(max_delta):
-            print(f"  {field:<24} {max_delta[field]:.6g}")
-    else:
-        print("no numeric deltas (streams are value-identical)")
-    return 0
-
-
 def _cmd_diff(args: argparse.Namespace) -> int:
     path_a, path_b = Path(args.a), Path(args.b)
-    lines_a, lines_b = _read_lines(path_a), _read_lines(path_b)
-    events_a = _strip_manifest(lines_a)
-    events_b = _strip_manifest(lines_b)
+    events_a = _strip_manifest(_read_lines(path_a))
+    events_b = _strip_manifest(_read_lines(path_b))
     if events_a == events_b:
         print(f"identical: {len(events_a)} event lines (manifest headers stripped)")
         return 0
-    if _precision_pair(_manifest_of(lines_a), _manifest_of(lines_b)):
-        return _diff_divergent(events_a, events_b)
     print(f"different: {path_a} has {len(events_a)} event lines, "
           f"{path_b} has {len(events_b)}")
     for index, (line_a, line_b) in enumerate(zip(events_a, events_b)):

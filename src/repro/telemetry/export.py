@@ -41,7 +41,6 @@ HISTORY_SCHEMA = "maya.bench.history.v1"
 SPEEDUP_FLOORS = {
     "parallel_speedup": 1.3,
     "batched_speedup": 2.0,
-    "fast_speedup": 10.0,
     "auto_speedup": 1.0,
     "packed_read_speedup": 2.0,
 }
@@ -195,7 +194,9 @@ def bench_history(registry=None, floors: "dict | None" = None) -> dict:
     ``registry`` is a :class:`repro.exec.registry.RunRegistry` (default:
     the ambient one).  Each bench manifest contributes one row of speedup
     results; any metric below its floor (``floors`` overrides
-    :data:`SPEEDUP_FLOORS`) is listed in the row's ``flags``.  The report
+    :data:`SPEEDUP_FLOORS`) is listed in the row's ``flags``.  Results
+    with no floor — such as the ``fast_speedup`` that manifests from
+    before the fast tier's removal carry — are skipped.  The report
     carries ``regressions`` — the latest run's flagged metrics — so
     callers can gate on trajectory health.
     """

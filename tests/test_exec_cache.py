@@ -192,41 +192,35 @@ class TestAccounting:
         finally:
             telemetry.set_recorder(None)
 
-    def test_clear_removes_equivalence_certificates(self, tmp_path):
-        # Regression: certificates written beside entries by the fast tier
-        # must not be orphaned by clear().
-        cache = TraceCache(root=tmp_path)
-        job = tiny_job()
-        cache.put(job, job.execute())
-        cert = cache.certificate_path(job)
-        cert.write_text('{"ok": true}\n')
-        cache.clear()
-        assert not cert.exists()
-        assert not shard_files(tmp_path, "*.equiv.json")
-
-    def test_evict_removes_equivalence_certificates(self, tmp_path):
-        # Regression: _evict() must delete <key>.equiv.json with the entry.
+    def test_evict_removes_telemetry_sidecars(self, tmp_path):
+        # Regression: _evict() must delete <key>.events.jsonl with the entry.
         cache = TraceCache(root=tmp_path)
         jobs = [tiny_job(run=i) for i in range(3)]
         for job in jobs:
             cache.put(job, job.execute())
-        victim_cert = cache.certificate_path(jobs[0])
-        victim_cert.write_text('{"ok": true}\n')
+        victim_sidecar = cache._key_sidecar(jobs[0].key())
+        victim_sidecar.write_text('{"type": "manifest"}\n')
         entry_size = cache._path(jobs[0]).stat().st_size
         cache.max_bytes = int(entry_size * 1.5)
         cache.put(jobs[1], jobs[1].execute())  # trigger eviction of jobs[0]
         assert cache.evictions >= 1
         assert not cache._path(jobs[0]).exists()
-        assert not victim_cert.exists()
+        assert not victim_sidecar.exists()
 
     def test_sidecar_bytes_are_accounted(self, tmp_path):
         from repro import telemetry
-        from repro.telemetry import TelemetryRecorder
+        from repro.telemetry import NullRecorder, TelemetryRecorder
 
         job = tiny_job()
-        trace = job.execute()
-        bare = TraceCache(root=tmp_path / "bare")
-        bare.put(job, trace)
+        # The bare leg runs with recording explicitly off, so an ambient
+        # REPRO_TELEMETRY=1 cannot give it a sidecar of its own.
+        previous = telemetry.get_recorder()
+        telemetry.set_recorder(NullRecorder())
+        try:
+            bare = TraceCache(root=tmp_path / "bare")
+            bare.put(job, job.execute())
+        finally:
+            telemetry.set_recorder(previous)
         npz_only = bare.stats()["total_bytes"]
 
         telemetry.set_recorder(TelemetryRecorder(root=tmp_path / "telemetry"))
@@ -240,17 +234,6 @@ class TestAccounting:
         sidecar = shard_files(tmp_path / "sidecars", "*.events.jsonl")
         assert len(sidecar) == 1 and sidecar[0].stat().st_size > 0
         assert accounted >= npz_only + sidecar[0].stat().st_size
-
-    def test_certificate_bytes_join_the_accounting(self, tmp_path):
-        cache = TraceCache(root=tmp_path)
-        job = tiny_job()
-        cache.put(job, job.execute())
-        before = cache.stats()["total_bytes"]
-        cache.put_certificate(job, {"schema": "test", "ok": True})
-        after = cache.stats()["total_bytes"]
-        cert_size = cache.certificate_path(job).stat().st_size
-        assert cert_size > 0
-        assert after == before + cert_size
 
 
 class TestPackedGroups:
@@ -365,89 +348,6 @@ class TestJournal:
         assert fresh.stats()["entries"] == 1
 
 
-class TestMigration:
-    def build_flat_layout(self, root, jobs, traces):
-        """A v1 flat cache directory, as PR 8 and earlier wrote it."""
-        root.mkdir(parents=True, exist_ok=True)
-        for job, trace in zip(jobs, traces):
-            trace.save_npz(root / f"{job.key()}.npz")
-
-    def test_flat_layout_migrates_and_serves_identical_traces(self, tmp_path):
-        jobs = [tiny_job(run=i) for i in range(3)]
-        traces = [job.execute() for job in jobs]
-        self.build_flat_layout(tmp_path, jobs, traces)
-        cache = TraceCache(root=tmp_path)
-        for job, trace in zip(jobs, traces):
-            loaded = cache.get(job)
-            assert loaded is not None and loaded.equals(trace)
-        assert cache.migrated == 3
-        assert not list(tmp_path.glob("*.npz"))  # moved into shards/
-        assert len(shard_files(tmp_path)) == 3
-
-    def test_migration_carries_and_replays_telemetry_sidecars(self, tmp_path):
-        from repro import telemetry
-        from repro.telemetry import TelemetryRecorder, job_identity
-
-        job = tiny_job()
-        trace = job.execute()
-        self.build_flat_layout(tmp_path / "cache", [job], [trace])
-        sidecar_bytes = b'{"type": "event", "ev": "interval"}\n'
-        (tmp_path / "cache" / f"{job.key()}.events.jsonl").write_bytes(
-            sidecar_bytes
-        )
-        recorder = TelemetryRecorder(root=tmp_path / "telemetry")
-        telemetry.set_recorder(recorder)
-        try:
-            cache = TraceCache(root=tmp_path / "cache")
-            assert cache.get(job).equals(trace)
-            replayed = recorder.session_path(job_identity(job))
-            assert replayed.read_bytes() == sidecar_bytes
-        finally:
-            telemetry.set_recorder(None)
-        migrated = shard_files(tmp_path / "cache", "*.events.jsonl")
-        assert len(migrated) == 1 and migrated[0].read_bytes() == sidecar_bytes
-
-    def test_migrated_certificates_move_into_shards(self, tmp_path):
-        job = tiny_job()
-        trace = job.execute()
-        self.build_flat_layout(tmp_path, [job], [trace])
-        (tmp_path / f"{job.key()}.equiv.json").write_text('{"ok": true}\n')
-        cache = TraceCache(root=tmp_path)
-        assert cache.get(job) is not None
-        assert cache.certificate_path(job).is_file()
-        assert not (tmp_path / f"{job.key()}.equiv.json").exists()
-
-    def test_migration_disabled_is_a_cold_miss(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MIGRATE", "0")
-        job = tiny_job()
-        trace = job.execute()
-        self.build_flat_layout(tmp_path, [job], [trace])
-        cache = TraceCache(root=tmp_path)
-        assert cache.get(job) is None  # cold miss, flat file untouched
-        assert (tmp_path / f"{job.key()}.npz").is_file()
-        # An explicit migrate() still works and upgrades the layout.
-        assert cache.migrate() == 1
-        assert cache.get(job).equals(trace)
-
-    def test_migration_preserves_lru_order(self, tmp_path):
-        import os
-        import time
-
-        jobs = [tiny_job(run=i) for i in range(3)]
-        traces = [job.execute() for job in jobs]
-        self.build_flat_layout(tmp_path, jobs, traces)
-        # jobs[1] is the oldest on disk, jobs[0] the freshest.
-        now = time.time()
-        order = [jobs[1], jobs[2], jobs[0]]
-        for age, job in enumerate(order):
-            stamp = now - (len(order) - age) * 100
-            os.utime(tmp_path / f"{job.key()}.npz", (stamp, stamp))
-        cache = TraceCache(root=tmp_path)
-        cache.migrate()
-        lru_names = [path.stem for path, _ in cache.entries()]
-        assert lru_names == [job.key() for job in order]
-
-
 class TestMerge:
     def test_export_import_round_trip(self, tmp_path):
         source = TraceCache(root=tmp_path / "src")
@@ -527,14 +427,6 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["removed"] == 1
         assert not list(tmp_path.rglob("*.npz"))
-
-    def test_migrate_command(self, tmp_path, capsys):
-        job = tiny_job()
-        job.execute().save_npz(tmp_path / f"{job.key()}.npz")
-        assert cache_cli(["--cache", "migrate", "--dir", str(tmp_path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["migrated"] == 1
-        assert not list(tmp_path.glob("*.npz"))
 
     def test_export_import_commands(self, tmp_path, capsys):
         cache = TraceCache(root=tmp_path / "src")

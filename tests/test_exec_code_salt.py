@@ -22,8 +22,8 @@ REPO_ROOT = PACKAGE_ROOT.parent.parent
 def copy_salted_tree(tmp_path):
     """A private copy of the salted packages, safe to mutate.
 
-    Salt entries can name whole packages or single modules (``exec/fast``);
-    mirror whichever form each entry takes.
+    Salt entries can name whole packages or single modules; mirror
+    whichever form each entry takes.
     """
     root = tmp_path / "repro"
     for package in _SIMULATION_PACKAGES:

@@ -4,7 +4,13 @@ import concurrent.futures
 
 import pytest
 
-from repro.exec import SessionJob, TraceCache, resolve_workers, run_sessions
+from repro.exec import (
+    SessionJob,
+    TraceCache,
+    choose_backend,
+    resolve_workers,
+    run_sessions,
+)
 from repro.exec.engine import _result_or_retry
 from repro.machine import SYS1
 
@@ -22,6 +28,33 @@ def batch_jobs(n_runs=2, duration_s=1.0, workloads=("volrend", "water_nsquared")
         for workload in workloads
         for run in range(n_runs)
     ]
+
+
+class TestChooseBackend:
+    def test_single_job_is_serial(self):
+        assert choose_backend(batch_jobs(n_runs=1, workloads=("volrend",)), workers=8) == "serial"
+        assert choose_backend([], workers=8) == "serial"
+
+    def test_batchable_majority_is_batch(self):
+        assert choose_backend(batch_jobs(n_runs=2), workers=1) == "batch"
+
+    def test_unbatchable_jobs_on_one_core(self, monkeypatch):
+        # Completion-mode jobs cannot batch; with no parallelism available
+        # the only non-losing choice is serial.
+        import repro.exec.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 1)
+        jobs = batch_jobs(n_runs=2, duration_s=None)
+        assert choose_backend(jobs, workers=4) == "serial"
+
+    def test_unbatchable_jobs_on_many_cores(self, monkeypatch):
+        import repro.exec.engine as engine_mod
+
+        monkeypatch.setattr(engine_mod.os, "cpu_count", lambda: 8)
+        jobs = batch_jobs(n_runs=2, duration_s=None)
+        assert choose_backend(jobs, workers=4) == "process"
+        # ... but never with a single worker.
+        assert choose_backend(jobs, workers=1) == "serial"
 
 
 class TestResolveWorkers:
@@ -73,12 +106,9 @@ class TestCacheIntegration:
         cache = TraceCache(root=tmp_path)
         jobs = batch_jobs(n_runs=1)
         # Prime only the second job: the engine must interleave the cached
-        # and freshly-simulated traces back into submission order.  The
-        # tier is pinned because the primed key hashes the job's own
-        # precision field — an ambient REPRO_PRECISION would rewrite the
-        # jobs and (correctly) miss the primed entry.
+        # and freshly-simulated traces back into submission order.
         cache.put(jobs[1], jobs[1].execute())
-        traces = run_sessions(jobs, workers=1, cache=cache, precision="exact")
+        traces = run_sessions(jobs, workers=1, cache=cache)
         assert [t.workload for t in traces] == ["volrend", "water_nsquared"]
         assert cache.hits == 1
 
@@ -91,34 +121,6 @@ class TestCacheIntegration:
         assert cache.hits == len(jobs)
         for a, b in zip(first, second):
             assert a.equals(b)
-
-    def test_certified_fast_group_writes_shard_certificate(
-        self, monkeypatch, tmp_path
-    ):
-        """REPRO_CERTIFY=1 lands the group certificate inside the shard."""
-        from dataclasses import replace
-
-        monkeypatch.setenv("REPRO_CERTIFY", "1")
-        cache = TraceCache(root=tmp_path)
-        jobs = batch_jobs(n_runs=2, workloads=("volrend",))
-        run_sessions(jobs, workers=1, cache=cache, backend="batch",
-                     precision="fast")
-        # The engine certified the forced-fast jobs, so the certificate
-        # keys off the fast-tier job identity.
-        first = replace(jobs[0], precision="fast")
-        cert_path = cache.certificate_path(first)
-        assert cert_path.is_file()
-        assert cert_path.is_relative_to(tmp_path / "shards")
-        # The certificate's bytes joined the entry's size accounting: a
-        # fresh handle's journal-replayed total matches the shard tree.
-        fresh = TraceCache(root=tmp_path)
-        tree_bytes = sum(
-            path.stat().st_size
-            for path in sorted((tmp_path / "shards").rglob("*"))
-            if path.is_file()
-        )
-        assert fresh.stats()["total_bytes"] == tree_bytes
-        assert fresh.stats()["tree_scans"] == 0
 
     def test_cache_false_disables_default(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_CACHE", "1")

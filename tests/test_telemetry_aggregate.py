@@ -262,6 +262,17 @@ class TestBenchHistory:
         report = bench_history(registry=registry, floors={"parallel_speedup": 5.0})
         assert report["regressions"] == ["parallel_speedup"]
 
+    def test_manifests_with_retired_results_still_read(self, tmp_path):
+        # Manifests from before the fast tier's removal carry fast_speedup;
+        # a result with no floor is skipped, never flagged.
+        registry = self.fake_registry(tmp_path, [
+            {"parallel_speedup": 2.0, "fast_speedup": 3.0},
+        ])
+        report = bench_history(registry=registry)
+        assert report["rows"][0]["results"] == {"parallel_speedup": 2.0}
+        assert report["regressions"] == []
+        assert "fast_speedup" not in render_history(report)
+
     def test_empty_registry(self, tmp_path):
         from repro.exec.registry import RunRegistry
 

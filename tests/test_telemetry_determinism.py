@@ -65,18 +65,9 @@ def _strip_manifest(data: bytes) -> list:
 
 def test_serial_and_batch_streams_are_byte_identical(sys1_factory, recorder_root):
     jobs = _jobs(sys1_factory)
-    # Pinned to the exact tier: the assertion below names the per-tier
-    # engines (run_session / lockstep), which an ambient REPRO_PRECISION
-    # would reroute to the fast runner on both sides.
-    run_sessions(
-        jobs, factory=sys1_factory, backend="serial", cache=False,
-        precision="exact",
-    )
+    run_sessions(jobs, factory=sys1_factory, backend="serial", cache=False)
     serial = _collect_sessions(recorder_root)
-    run_sessions(
-        jobs, factory=sys1_factory, backend="batch", cache=False,
-        precision="exact",
-    )
+    run_sessions(jobs, factory=sys1_factory, backend="batch", cache=False)
     batched = _collect_sessions(recorder_root)
 
     # Same identity digests: the file names must line up one-to-one.
