@@ -146,7 +146,6 @@ def scenario_jobs(
 def simulate_runs(
     scenario: AttackScenario,
     factory: DefenseFactory,
-    workers: int | None = None,
     cache: object = None,
     backend: object = None,
 ) -> list[list[Trace]]:
@@ -154,7 +153,7 @@ def simulate_runs(
 
     Every ``(class, run)`` session is an independent declarative job, so
     the whole collection fans out through :func:`repro.exec.run_sessions`
-    (``workers`` processes or the lock-step ``backend="batch"``, optional
+    (the lock-step ``backend="batch"`` under ``auto``, optional
     content-addressed trace cache) and is reshaped back to the paper's
     ``classes x runs`` nesting — in the same order, with bit-identical
     traces, as the serial loop this replaces.
@@ -167,9 +166,7 @@ def simulate_runs(
         classes=len(scenario.class_workloads),
         runs_per_class=scenario.runs_per_class,
     )
-    traces = run_sessions(
-        jobs, workers=workers, cache=cache, factory=factory, backend=backend
-    )
+    traces = run_sessions(jobs, cache=cache, factory=factory, backend=backend)
     per_class = scenario.runs_per_class
     return [
         traces[label * per_class:(label + 1) * per_class]
@@ -293,20 +290,17 @@ def train_and_evaluate(
 def run_attack(
     scenario: AttackScenario,
     factory: DefenseFactory,
-    workers: int | None = None,
     cache: object = None,
     backend: object = None,
 ) -> AttackOutcome:
     """The full pipeline: simulate, sample, train, evaluate.
 
-    ``workers``, ``cache`` and ``backend`` reach the trace-collection phase
+    ``cache`` and ``backend`` reach the trace-collection phase
     only; the sensor sampling and training stages are deterministic
     functions of the collected traces, so a cached or batched re-run
     reproduces the identical outcome.
     """
-    runs = simulate_runs(
-        scenario, factory, workers=workers, cache=cache, backend=backend
-    )
+    runs = simulate_runs(scenario, factory, cache=cache, backend=backend)
     sampled = sample_runs(scenario, runs)
     outcome = train_and_evaluate(scenario, sampled)
     # Bind the outcome to its inputs in the run registry (no-op unless

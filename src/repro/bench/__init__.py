@@ -1,14 +1,13 @@
 """Pipeline micro-benchmark (``python -m repro.bench``).
 
 Times the dominant stages of the attack pipeline — trace collection
-(serially, through the process-parallel execution engine, through the
-vectorized lock-step batch backend, through adaptive ``"auto"`` backend
-selection, and replayed from the content-addressed cache),
-featurization, and MLP training — and writes the numbers to
-``BENCH_pipeline.json``.
+(serially, through the vectorized lock-step batch backend, through
+adaptive ``"auto"`` backend selection, and replayed from the
+content-addressed cache), featurization, and MLP training — and writes
+the numbers to ``BENCH_pipeline.json``.
 
-The benchmark is also a correctness check: the parallel, batched, auto
-and cache-replayed traces are compared bit-for-bit against the serial
+The benchmark is also a correctness check: the batched, auto and
+cache-replayed traces are compared bit-for-bit against the serial
 ones (and the batch-collected traces must reproduce the identical attack
 outcome).  A speedup that comes at the price of changed results fails
 loudly rather than silently.  Every collection leg but the auto probe
@@ -41,7 +40,7 @@ from ..attacks.pipeline import (
     train_and_evaluate,
 )
 from ..defenses.designs import DefenseFactory
-from ..exec import TraceCache, choose_backend, record_run, resolve_workers
+from ..exec import TraceCache, choose_backend, record_run
 from ..machine import SYS1, Trace
 from ..telemetry import MetricsRegistry
 from ..telemetry import profile as _profile
@@ -49,12 +48,7 @@ from ..telemetry import profile as _profile
 __all__ = ["DEFAULT_OUT", "SCHEMA", "bench_scenario", "run_bench", "store_bench"]
 
 DEFAULT_OUT = "BENCH_pipeline.json"
-SCHEMA = "maya.bench.pipeline.v6"
-
-#: Minimum parallel-over-serial collection speedup ``--check`` demands on
-#: multi-core hosts.  The issue targets ~2x with 4 workers; 1.3x keeps the
-#: gate robust against noisy CI machines.
-CHECK_MIN_SPEEDUP = 1.3
+SCHEMA = "maya.bench.pipeline.v7"
 
 #: Minimum batched-over-serial collection speedup ``--check`` demands.  The
 #: batch backend needs no extra cores — vectorizing the tick-level physics
@@ -252,7 +246,6 @@ def _traces_equal(serial: list, other: list) -> bool:
 def run_bench(
     out_path: "str | Path" = DEFAULT_OUT,
     smoke: bool = False,
-    workers: "int | None" = None,
     seed: int = 7,
     scenario: AttackScenario | None = None,
     factory: DefenseFactory | None = None,
@@ -269,10 +262,6 @@ def run_bench(
         scenario = bench_scenario(smoke=smoke, seed=seed)
     if factory is None:
         factory = DefenseFactory(scenario.spec, seed=scenario.seed)
-    if workers is None:
-        workers = resolve_workers()
-        if workers <= 1:
-            workers = 4
     # Build the defense design (and its one-off sysid cost) outside the
     # timed region so every timed stage sees a warm factory.
     factory.create(scenario.defense)
@@ -291,18 +280,8 @@ def run_bench(
 
     serial_runs = _timed(
         "collect_serial_s",
-        lambda: simulate_runs(
-            scenario, factory, workers=1, cache=False, backend="serial"
-        ),
+        lambda: simulate_runs(scenario, factory, cache=False, backend="serial"),
     )
-
-    parallel_runs = _timed(
-        "collect_parallel_s",
-        lambda: simulate_runs(
-            scenario, factory, workers=workers, cache=False, backend="process"
-        ),
-    )
-    parallel_matches = _traces_equal(serial_runs, parallel_runs)
 
     batched_runs = _timed(
         "collect_batched_s",
@@ -311,13 +290,11 @@ def run_bench(
     batched_matches = _traces_equal(serial_runs, batched_runs)
 
     # The auto probe measures what a caller who sets nothing gets: the
-    # heuristic's pick for this job list on this host, timed end to end.
-    auto_backend = choose_backend(scenario_jobs(scenario, factory), workers)
+    # heuristic's pick for this job list, timed end to end.
+    auto_backend = choose_backend(scenario_jobs(scenario, factory))
     auto_runs = _timed(
         "collect_auto_s",
-        lambda: simulate_runs(
-            scenario, factory, workers=workers, cache=False, backend="auto"
-        ),
+        lambda: simulate_runs(scenario, factory, cache=False, backend="auto"),
     )
     auto_matches = _traces_equal(serial_runs, auto_runs)
 
@@ -330,12 +307,10 @@ def run_bench(
             bench_root = Path(cache_dir)
             bench_root.mkdir(parents=True, exist_ok=True)
         cache = TraceCache(root=bench_root / "replay")
-        simulate_runs(scenario, factory, workers=1, cache=cache, backend="serial")
+        simulate_runs(scenario, factory, cache=cache, backend="serial")
         cached_runs = _timed(
             "collect_cached_s",
-            lambda: simulate_runs(
-                scenario, factory, workers=1, cache=cache, backend="serial"
-            ),
+            lambda: simulate_runs(scenario, factory, cache=cache, backend="serial"),
         )
         cache_hits = cache.hits
         cached_matches = _traces_equal(serial_runs, cached_runs)
@@ -353,7 +328,7 @@ def run_bench(
             profiled_runs = _timed(
                 "collect_profiled_s",
                 lambda: simulate_runs(
-                    scenario, factory, workers=1, cache=False, backend="serial"
+                    scenario, factory, cache=False, backend="serial"
                 ),
             )
         finally:
@@ -383,29 +358,24 @@ def run_bench(
     # the overhead CLI keeps summing seconds only.
     registry.gauge("bench.profile_overhead_pct", profile_overhead_pct)
 
-    speedup = timings["collect_serial_s"] / max(timings["collect_parallel_s"], 1e-9)
     batched_speedup = timings["collect_serial_s"] / max(timings["collect_batched_s"], 1e-9)
     auto_speedup = timings["collect_serial_s"] / max(timings["collect_auto_s"], 1e-9)
     cache_speedup = timings["collect_serial_s"] / max(timings["collect_cached_s"], 1e-9)
-    cpu_count = os.cpu_count() or 1
     report = {
         "schema": SCHEMA,
         "scenario": scenario.name,
         "smoke": bool(smoke),
         "n_sessions": len(scenario.class_workloads) * scenario.runs_per_class,
         "session_duration_s": scenario.duration_s,
-        "workers": int(workers),
-        "cpu_count": cpu_count,
+        "cpu_count": os.cpu_count() or 1,
         "timings": timings,
         "metrics": registry.render(),
-        "parallel_speedup": speedup,
         "batched_speedup": batched_speedup,
         "auto_speedup": auto_speedup,
         "auto_backend": auto_backend,
         "cache_speedup": cache_speedup,
         "cache_hits": int(cache_hits),
         "store": store,
-        "parallel_matches_serial": bool(parallel_matches),
         "batched_matches_serial": bool(batched_matches),
         "batched_outcome_matches_serial": outcome_matches,
         "auto_matches_serial": bool(auto_matches),
@@ -427,7 +397,6 @@ def run_bench(
         artifacts=[out_path],
         results={
             "attack_accuracy": outcome.average_accuracy,
-            "parallel_speedup": speedup,
             "batched_speedup": batched_speedup,
             "auto_speedup": auto_speedup,
             "cache_speedup": cache_speedup,
@@ -443,8 +412,6 @@ def run_bench(
         _telemetry.gauge(name, value)
     _telemetry.write_metrics()
 
-    if not parallel_matches:
-        raise AssertionError("parallel traces differ from serial traces")
     if not batched_matches:
         raise AssertionError("batched traces differ from serial traces")
     if not outcome_matches:
@@ -473,21 +440,12 @@ def run_bench(
             raise AssertionError(
                 f"cache replay hit {cache_hits}/{report['n_sessions']} sessions"
             )
-        # The speedup gate only makes sense when the host can actually run
-        # workers side by side; single-core CI still checks determinism.
-        if cpu_count >= 2 and speedup < CHECK_MIN_SPEEDUP:
-            raise AssertionError(
-                f"parallel speedup {speedup:.2f}x below the "
-                f"{CHECK_MIN_SPEEDUP}x floor on a {cpu_count}-core host"
-            )
         if batched_speedup < BATCH_CHECK_MIN_SPEEDUP:
             raise AssertionError(
                 f"batched speedup {batched_speedup:.2f}x below the "
                 f"{BATCH_CHECK_MIN_SPEEDUP}x floor"
             )
-        # The auto floor applies to whatever backend the heuristic picked
-        # — on a single-core host that pick is typically batch or serial,
-        # so unlike the parallel gate it needs no core-count guard.
+        # The auto floor applies to whatever backend the heuristic picked.
         if auto_speedup < AUTO_CHECK_MIN_SPEEDUP:
             raise AssertionError(
                 f"auto backend chose {auto_backend!r} but ran "

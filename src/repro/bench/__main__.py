@@ -46,17 +46,12 @@ def main(argv: "list[str] | None" = None) -> int:
         help="small scenario (2 classes x 8 runs) suitable for CI",
     )
     parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the parallel leg (default: REPRO_WORKERS or 4)",
-    )
-    parser.add_argument(
         "--out", default=DEFAULT_OUT,
         help=f"report path (default: {DEFAULT_OUT})",
     )
     parser.add_argument(
         "--check", action="store_true",
-        help="fail unless the parallel leg hits the speedup floor "
-        "(multi-core hosts), the batched/auto legs clear their own "
+        help="fail unless the batched/auto legs clear their speedup "
         "floors, the cache replay hits every session, the packed-group "
         "store replay clears its floor, and span profiling stays under "
         "its overhead budget",
@@ -82,7 +77,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.floor:
         parser.error("--floor only applies to --history")
     report = run_bench(
-        out_path=args.out, smoke=args.smoke, workers=args.workers,
+        out_path=args.out, smoke=args.smoke,
         check=args.check, cache_dir=args.cache_dir,
     )
     json.dump(report, sys.stdout, indent=2, sort_keys=True)

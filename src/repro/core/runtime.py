@@ -74,6 +74,8 @@ def run_session(
         n_intervals = None
 
     max_intervals = int(round(max_duration_s / interval_s))
+    if max_intervals < 1:
+        raise ValueError("max_duration_s shorter than one interval")
     interval_cap = max_intervals if n_intervals is None else min(n_intervals, max_intervals)
 
     # With a fixed duration every interval contributes exactly

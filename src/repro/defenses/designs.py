@@ -164,9 +164,9 @@ class DefenseFactory:
     A factory is fully described by ``(spec, seed, design_overrides)``:
     ``design_overrides`` are factory-level :class:`MayaConfig` defaults
     (e.g. an :class:`ExperimentScale`'s ``sysid_intervals`` budget) merged
-    under any per-call overrides.  The parallel execution layer
-    (:mod:`repro.exec`) relies on this declarative description to rebuild
-    an equivalent factory inside worker processes.
+    under any per-call overrides.  The execution layer (:mod:`repro.exec`)
+    relies on this declarative description to rebuild an equivalent
+    factory from a job's fields alone.
     """
 
     def __init__(

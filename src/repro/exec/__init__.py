@@ -1,10 +1,10 @@
-"""Parallel execution engine + content-addressed trace cache.
+"""Execution engine + content-addressed trace cache.
 
 Every simulation batch in the reproduction — the per-figure experiments
 and the attack pipeline's trace collection — routes through
-:func:`run_sessions`, which fans declarative :class:`SessionJob` specs
-out over worker processes and collates the traces in job order, with
-results guaranteed bit-identical to the serial path.  See
+:func:`run_sessions`, which runs declarative :class:`SessionJob` specs
+serially or lock-step in batches and returns the traces in job order,
+with results guaranteed bit-identical to the serial path.  See
 :mod:`repro.exec.engine` for the determinism contract and
 :mod:`repro.exec.cache` for the cache layout and environment knobs.
 """
@@ -26,7 +26,6 @@ from .engine import (
     BACKENDS,
     choose_backend,
     resolve_backend,
-    resolve_workers,
     run_sessions,
 )
 from .jobs import (
@@ -34,7 +33,6 @@ from .jobs import (
     SessionJob,
     code_salt,
     execute_job,
-    register_factory,
 )
 from .registry import (
     MANIFEST_SCHEMA,
@@ -60,11 +58,9 @@ __all__ = [
     "execute_jobs_batched",
     "resolve_batch_size",
     "resolve_backend",
-    "resolve_workers",
     "run_sessions",
     "CACHE_EPOCH",
     "SessionJob",
     "code_salt",
     "execute_job",
-    "register_factory",
 ]

@@ -1,9 +1,8 @@
 """CLI: trace-store maintenance and run-registry queries.
 
-``python -m repro.exec --cache {stats,clear,export,import}``
-operates on the sharded trace store (``--dir`` defaults to
-``REPRO_CACHE_DIR`` or ``.maya-cache/``); ``export``/``import`` move
-shard tarballs (``--archive``) so fleets can merge caches.
+``python -m repro.exec --cache {stats,clear}`` operates on the sharded
+trace store (``--dir`` defaults to ``REPRO_CACHE_DIR`` or
+``.maya-cache/``).
 
 ``python -m repro.exec --registry {list,show,diff}`` queries the run
 registry (``--dir`` defaults to ``REPRO_REGISTRY_DIR`` or
@@ -25,15 +24,14 @@ __all__ = ["main"]
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.exec",
-        description="Parallel execution engine: trace-store and registry "
+        description="Execution engine: trace-store and registry "
                     "maintenance",
     )
     action = parser.add_mutually_exclusive_group(required=True)
     action.add_argument(
         "--cache",
-        choices=("stats", "clear", "export", "import"),
-        help="trace store: print statistics, remove every entry, or "
-             "export/import a shard tarball",
+        choices=("stats", "clear"),
+        help="trace store: print statistics or remove every entry",
     )
     action.add_argument(
         "--registry",
@@ -47,11 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="store/registry directory (default: REPRO_CACHE_DIR or "
              ".maya-cache for --cache; REPRO_REGISTRY_DIR or .maya-registry "
              "for --registry)",
-    )
-    parser.add_argument(
-        "--archive",
-        default=None,
-        help="tarball path for --cache export/import",
     )
     parser.add_argument(
         "--run",
@@ -70,20 +63,10 @@ def _cache_main(args) -> int:
     cache = TraceCache(args.dir)
     if args.cache == "stats":
         print(json.dumps(cache.stats(), indent=2, sort_keys=True))
-    elif args.cache == "clear":
+    else:
         removed = cache.clear()
         print(json.dumps({"dir": str(cache.root), "removed": removed},
                          sort_keys=True))
-    else:
-        if not args.archive:
-            print("--cache export/import requires --archive PATH")
-            return 2
-        if args.cache == "export":
-            print(json.dumps(cache.export_archive(args.archive),
-                             sort_keys=True))
-        else:
-            print(json.dumps(cache.import_archive(args.archive),
-                             sort_keys=True))
     return 0
 
 

@@ -313,6 +313,8 @@ def _run_lockstep(
     if n_intervals < 1:
         raise ValueError("duration_s shorter than one interval")
     max_intervals = int(round(max_duration_s / interval_s))
+    if max_intervals < 1:
+        raise ValueError("max_duration_s shorter than one interval")
     interval_cap = min(n_intervals, max_intervals)
 
     batched_machine = BatchedMachine(machines)

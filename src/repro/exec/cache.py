@@ -53,11 +53,7 @@ Properties:
   (:mod:`repro.telemetry`), each entry carries a ``.events.jsonl`` sidecar
   holding the session's telemetry stream, replayed byte-for-byte on a
   hit so cached and fresh runs are observationally identical.  Hit, miss
-  and eviction counts also flow into the ambient metrics registry;
-* **merge** — :meth:`export_archive` writes the shard tree as a
-  deterministic tarball and :meth:`import_archive` merges one into this
-  store, skipping keys it already holds (content addressing makes the
-  merge conflict-free).
+  and eviction counts also flow into the ambient metrics registry.
 
 All shard-tree enumeration is wrapped directly in ``sorted(...)``
 (MAYA031): store behaviour is a function of store *content*, never of
@@ -74,12 +70,10 @@ Environment:
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
-import tarfile
 import zipfile
-from pathlib import Path, PurePosixPath
+from pathlib import Path
 
 import numpy as np
 
@@ -656,100 +650,6 @@ class TraceCache:
         if self._entries is not None and not self._entries:
             self._records_seen = len(self._entries) + _COMPACT_SLACK + 1
             self._maybe_compact()
-
-    # -- merge ---------------------------------------------------------
-
-    def export_archive(self, archive_path) -> dict:
-        """Write the shard tree as a deterministic (bytewise) tarball.
-
-        Members are sorted, timestamps zeroed and ownership stripped, so
-        two stores with identical content export identical archives.
-        """
-        self._refresh()
-        archive_path = Path(archive_path)
-        archive_path.parent.mkdir(parents=True, exist_ok=True)
-        files = 0
-        with tarfile.open(archive_path, "w") as archive:
-            shards_root = self.root / _SHARDS
-            if shards_root.is_dir():
-                for shard in sorted(shards_root.iterdir()):
-                    if not shard.is_dir():
-                        continue
-                    for path in sorted(shard.iterdir()):
-                        if path.name.startswith(".") or not path.is_file():
-                            continue
-                        data = path.read_bytes()
-                        info = tarfile.TarInfo(
-                            f"{_SHARDS}/{shard.name}/{path.name}")
-                        info.size = len(data)
-                        info.mtime = 0
-                        info.uid = info.gid = 0
-                        info.uname = info.gname = ""
-                        archive.addfile(info, io.BytesIO(data))
-                        files += 1
-        telemetry.count("exec.cache.exported", files)
-        return {"archive": str(archive_path), "files": files}
-
-    def import_archive(self, archive_path) -> dict:
-        """Merge another store's exported tarball into this one.
-
-        Content addressing makes the merge conflict-free: a member whose
-        target file already exists is skipped (identical content by
-        construction).  Only regular files laid out as
-        ``shards/<shard>/<name>`` are accepted.
-        """
-        self._refresh()
-        added: list = []
-        skipped = 0
-        with tarfile.open(archive_path, "r:*") as archive:
-            for member in archive:
-                target = self._import_target(member)
-                if target is None:
-                    continue
-                if target.exists():
-                    skipped += 1
-                    continue
-                extracted = archive.extractfile(member)
-                if extracted is None:
-                    continue
-                data = extracted.read()
-                target.parent.mkdir(parents=True, exist_ok=True)
-                tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-                try:
-                    tmp.write_bytes(data)
-                    os.replace(tmp, target)
-                finally:
-                    tmp.unlink(missing_ok=True)
-                added.append(target)
-        # Second pass so every imported entry's sidecars — possibly in
-        # other shards of the archive — are already on disk when sized.
-        records = []
-        for path in added:
-            if path.suffix != ".npz":
-                continue
-            record = self._scan_record(path)
-            if record is not None and record["id"] not in self._entries:
-                records.append(record)
-        self._commit(records)
-        self._evict()
-        telemetry.count("exec.cache.imported", len(records))
-        return {"archive": str(Path(archive_path)), "entries": len(records),
-                "files": len(added), "skipped": skipped}
-
-    def _import_target(self, member: tarfile.TarInfo) -> Path | None:
-        if not member.isreg():
-            return None
-        parts = PurePosixPath(member.name).parts
-        if len(parts) != 3 or parts[0] != _SHARDS:
-            return None
-        shard, name = parts[1], parts[2]
-        ok = (shard and name and not shard.startswith(".")
-              and not name.startswith(".") and "/" not in shard
-              and os.sep not in shard and os.sep not in name
-              and shard not in (os.curdir, os.pardir))
-        if not ok:
-            return None
-        return self.root / _SHARDS / shard / name
 
 
 # -- packed group entries ----------------------------------------------

@@ -3,17 +3,15 @@
 A :class:`SessionJob` is a pure-data description of one ``(platform,
 workload, defense, seed, run_id)`` simulation session — the unit of work
 every experiment and the attack pipeline fan out over.  Because the job is
-declarative (names, numbers and small tuples only), it can be
-
-* pickled to a :class:`~concurrent.futures.ProcessPoolExecutor` worker,
-  which rebuilds the defense factory on its side of the fork/spawn;
-* hashed into a stable content address (:meth:`SessionJob.key`) for the
-  trace cache, salted with a digest of the simulation sources so stale
-  traces can never survive a code change.
+declarative (names, numbers and small tuples only), it can be hashed
+into a stable content address (:meth:`SessionJob.key`) for the trace
+cache, salted with a digest of the simulation sources so stale traces can
+never survive a code change, and its defense factory can be rebuilt from
+the job fields alone.
 
 The spawn-keyed RNG scheme (:func:`repro.machine.rng.spawn`) makes every
 session a deterministic function of its job spec, so executing the same
-job serially, in a worker process, or from the cache yields bit-identical
+job serially, lock-step in a batch, or from the cache yields bit-identical
 traces.
 """
 
@@ -34,7 +32,6 @@ from ..workloads import get_workload
 __all__ = [
     "SessionJob",
     "execute_job",
-    "register_factory",
     "code_salt",
     "CACHE_EPOCH",
 ]
@@ -280,16 +277,12 @@ class SessionJob:
 
 
 #: Per-process factory memo: Maya designs (sysid + synthesis) are expensive,
-#: so each worker builds them at most once per declarative description.
+#: so each process builds them at most once per declarative description.
 _FACTORY_CACHE: dict = {}
 
 
-def _factory_key(spec: PlatformSpec, seed: int, overrides: tuple) -> tuple:
-    return (spec, int(seed), overrides)
-
-
 def _factory_for(job: SessionJob) -> DefenseFactory:
-    key = _factory_key(job.spec, job.factory_seed, job.design_overrides)
+    key = (job.spec, int(job.factory_seed), job.design_overrides)
     factory = _FACTORY_CACHE.get(key)
     if factory is None:
         factory = DefenseFactory(
@@ -300,17 +293,6 @@ def _factory_for(job: SessionJob) -> DefenseFactory:
     return factory
 
 
-def register_factory(factory: DefenseFactory) -> None:
-    """Memoize ``factory`` under its declarative description.
-
-    Called by the engine *before* creating a worker pool: with the
-    (default) fork start method the workers inherit the memo, so designs
-    already built in the parent are never rebuilt in the children.
-    """
-    key = _factory_key(factory.spec, factory.seed, _as_pairs(factory.design_overrides))
-    _FACTORY_CACHE[key] = factory
-
-
 def execute_job(job: SessionJob) -> Trace:
-    """Top-level worker entry point (must be picklable by name)."""
+    """Run one job with a factory built from its own fields."""
     return job.execute()

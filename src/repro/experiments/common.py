@@ -44,9 +44,9 @@ def make_factory(spec: PlatformSpec, scale: ExperimentScale, seed: int = 0) -> D
     """A defense factory whose Maya designs use the scale's sysid budget.
 
     The budget rides in ``design_overrides`` (not a monkeypatched method)
-    so the factory stays declaratively describable — worker processes in
-    :mod:`repro.exec` rebuild an equivalent factory from
-    ``(spec, seed, design_overrides)`` alone.
+    so the factory stays declaratively describable — :mod:`repro.exec`
+    rebuilds an equivalent factory from ``(spec, seed, design_overrides)``
+    alone.
     """
     return DefenseFactory(
         spec, seed=seed, design_overrides={"sysid_intervals": scale.sysid_intervals}
@@ -88,16 +88,14 @@ def record_traces(
     duration_s: float | None,
     seed: int = 0,
     tag: str = "traces",
-    workers: int | None = None,
     cache: object = None,
 ) -> list[Trace]:
     """Record ``n_runs`` executions of one workload under one defense.
 
     The runs are independent sessions, so they are submitted as declarative
-    jobs to :func:`repro.exec.run_sessions` — parallel across
-    ``workers`` processes (``REPRO_WORKERS`` by default) and served from
-    the content-addressed trace cache when one is enabled, with results
-    bit-identical to the serial loop this replaces.
+    jobs to :func:`repro.exec.run_sessions` — advanced lock-step in one
+    batch and served from the content-addressed trace cache when one is
+    enabled, with results bit-identical to the serial loop this replaces.
     """
     jobs = [
         SessionJob.for_factory(
@@ -111,7 +109,7 @@ def record_traces(
         )
         for run in range(n_runs)
     ]
-    traces = run_sessions(jobs, workers=workers, cache=cache, factory=factory)
+    traces = run_sessions(jobs, cache=cache, factory=factory)
     # Bind the recorded group to its inputs in the run registry (no-op
     # unless REPRO_REGISTRY is on).
     record_run(

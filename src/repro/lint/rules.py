@@ -425,8 +425,8 @@ class NondeterministicCollationRule(Rule):
     """The execution layer must collate results in submission order.
 
     ``repro.exec`` guarantees that ``run_sessions`` returns traces in job
-    order, bit-identical whether jobs ran serially, in a pool, or from the
-    cache.  Two idioms silently break that guarantee: iterating futures in
+    order, bit-identical whether jobs ran serially, lock-step in a batch, or
+    from the cache.  Two idioms silently break that guarantee: iterating futures in
     *completion* order (``concurrent.futures.as_completed``) and iterating
     an unordered container (a ``set``/``frozenset`` of futures or jobs).
     Both reorder results by scheduling accidents, so the rule bans them

@@ -13,9 +13,6 @@
 * ``aggregate <path...>`` — fold telemetry dirs, trace-store roots, and
   individual artifacts into one fleet rollup
   (``maya.telemetry.rollup.v1``; see :mod:`repro.telemetry.aggregate`).
-* ``export <path>`` — render a ``metrics.json`` snapshot or a rollup as
-  Prometheus text exposition v0.0.4 or canonical JSON
-  (:mod:`repro.telemetry.export`).
 * ``profile <path...>`` — render the span self-time tree from
   ``profile.jsonl`` logs (total/self wall-clock, child coverage).
 
@@ -225,7 +222,7 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# aggregate / export / profile
+# aggregate / profile
 # --------------------------------------------------------------------------
 
 
@@ -243,19 +240,6 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
             f"{sources['metrics_snapshots']} snapshots, "
             f"{sources['profiles']} profiles -> {args.out}"
         )
-    else:
-        print(rendered, end="")
-    return 0
-
-
-def _cmd_export(args: argparse.Namespace) -> int:
-    from .export import to_json, to_prometheus
-
-    payload = json.loads(Path(args.path).read_text(encoding="utf-8"))
-    rendered = to_json(payload) if args.format == "json" else to_prometheus(payload)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        print(f"exported {args.format}: {args.path} -> {args.out}")
     else:
         print(rendered, end="")
     return 0
@@ -319,16 +303,6 @@ def main(argv: "list | None" = None) -> int:
     )
     aggregate.add_argument("--out", help="write the rollup JSON here")
     aggregate.set_defaults(fn=_cmd_aggregate)
-
-    export = commands.add_parser(
-        "export", help="render a metrics snapshot or rollup for scraping"
-    )
-    export.add_argument("path", help="a metrics.json or rollup JSON file")
-    export.add_argument(
-        "--format", choices=("prometheus", "json"), default="prometheus"
-    )
-    export.add_argument("--out", help="write the exposition here")
-    export.set_defaults(fn=_cmd_export)
 
     span_profile = commands.add_parser(
         "profile", help="render the span self-time tree from profile logs"

@@ -117,15 +117,6 @@ class TestPipeline:
 
 
 class TestExecutionLayer:
-    def test_parallel_simulate_runs_bit_identical(self, sys1_factory):
-        """Acceptance: fan-out must not change a single bit of any trace."""
-        scenario = tiny_scenario(runs_per_class=2, duration_s=2.0)
-        serial = simulate_runs(scenario, sys1_factory, workers=1, cache=False)
-        parallel = simulate_runs(scenario, sys1_factory, workers=4, cache=False)
-        for class_serial, class_parallel in zip(serial, parallel):
-            for a, b in zip(class_serial, class_parallel):
-                assert a.equals(b)
-
     def test_cached_rerun_reproduces_attack_outcome(self, sys1_factory, tmp_path):
         """Acceptance: a cached re-run yields the identical AttackOutcome."""
         from repro.exec import TraceCache

@@ -106,9 +106,17 @@ class TestRunSession:
         assert np.all(trace.settings[:, 0] >= SYS1.freq_min_ghz)
 
     def test_interval_too_short_rejected(self):
-        machine = make_machine(SYS1, parsec_program("bodytrack"), seed=31, run_id=4)
-        with pytest.raises(ValueError):
-            run_session(machine, Baseline(), duration_s=0.001)
+        cases = [
+            ({"duration_s": 0.001}, "duration_s shorter than one interval"),
+            ({"duration_s": None, "max_duration_s": 0.005},
+             "max_duration_s shorter than one interval"),
+            ({"duration_s": 1.0, "max_duration_s": 0.005},
+             "max_duration_s shorter than one interval"),
+        ]
+        for kwargs, message in cases:
+            machine = make_machine(SYS1, parsec_program("bodytrack"), seed=31, run_id=4)
+            with pytest.raises(ValueError, match=message):
+                run_session(machine, Baseline(), **kwargs)
 
     def test_first_interval_has_no_target(self, sys1_design):
         machine = make_machine(SYS1, parsec_program("bodytrack"), seed=31, run_id=5)

@@ -187,6 +187,11 @@ class TestBatchedMachineValidation:
     def test_empty_job_list_is_empty_result(self):
         assert execute_jobs_batched([]) == []
 
+    def test_cap_shorter_than_one_interval_rejected(self):
+        jobs = [make_job(run=run, max_duration_s=0.005) for run in range(2)]
+        with pytest.raises(ValueError, match="max_duration_s shorter than one interval"):
+            execute_jobs_batched(jobs)
+
 
 class TestEngineIntegration:
     def test_mixed_groups_and_fallback_keep_job_order(self):

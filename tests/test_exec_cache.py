@@ -348,61 +348,6 @@ class TestJournal:
         assert fresh.stats()["entries"] == 1
 
 
-class TestMerge:
-    def test_export_import_round_trip(self, tmp_path):
-        source = TraceCache(root=tmp_path / "src")
-        jobs = [tiny_job(run=i) for i in range(2)]
-        traces = [job.execute() for job in jobs]
-        source.put_many(jobs, traces)
-        archive = tmp_path / "shards.tar"
-        exported = source.export_archive(archive)
-        assert exported["files"] >= 1
-        target = TraceCache(root=tmp_path / "dst")
-        report = target.import_archive(archive)
-        assert report["entries"] == 1  # one packed group
-        for job, trace in zip(jobs, traces):
-            assert target.get(job).equals(trace)
-
-    def test_import_skips_existing_keys(self, tmp_path):
-        source = TraceCache(root=tmp_path / "src")
-        job = tiny_job()
-        source.put(job, job.execute())
-        archive = tmp_path / "shards.tar"
-        source.export_archive(archive)
-        target = TraceCache(root=tmp_path / "dst")
-        target.put(job, job.execute())
-        report = target.import_archive(archive)
-        assert report["entries"] == 0
-        assert report["skipped"] >= 1
-
-    def test_export_is_deterministic(self, tmp_path):
-        cache = TraceCache(root=tmp_path / "store")
-        jobs = [tiny_job(run=i) for i in range(2)]
-        cache.put_many(jobs, [job.execute() for job in jobs])
-        first = tmp_path / "a.tar"
-        second = tmp_path / "b.tar"
-        cache.export_archive(first)
-        cache.export_archive(second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_import_rejects_traversal_members(self, tmp_path):
-        import io
-        import tarfile
-
-        archive = tmp_path / "evil.tar"
-        with tarfile.open(archive, "w") as tar:
-            for name in ("../escape.npz", "shards/../../escape.npz",
-                         "not-shards/ab/x.npz"):
-                data = b"x"
-                info = tarfile.TarInfo(name)
-                info.size = len(data)
-                tar.addfile(info, io.BytesIO(data))
-        target = TraceCache(root=tmp_path / "dst")
-        report = target.import_archive(archive)
-        assert report["files"] == 0 and report["entries"] == 0
-        assert not (tmp_path / "escape.npz").exists()
-
-
 class TestCli:
     def test_stats_command(self, tmp_path, capsys):
         cache = TraceCache(root=tmp_path)
@@ -427,23 +372,3 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert report["removed"] == 1
         assert not list(tmp_path.rglob("*.npz"))
-
-    def test_export_import_commands(self, tmp_path, capsys):
-        cache = TraceCache(root=tmp_path / "src")
-        job = tiny_job()
-        trace = job.execute()
-        cache.put(job, trace)
-        archive = tmp_path / "shards.tar"
-        assert cache_cli(["--cache", "export", "--dir", str(tmp_path / "src"),
-                          "--archive", str(archive)]) == 0
-        exported = json.loads(capsys.readouterr().out)
-        assert exported["files"] >= 1
-        assert cache_cli(["--cache", "import", "--dir", str(tmp_path / "dst"),
-                          "--archive", str(archive)]) == 0
-        imported = json.loads(capsys.readouterr().out)
-        assert imported["entries"] == 1
-        assert TraceCache(root=tmp_path / "dst").get(job).equals(trace)
-
-    def test_export_requires_archive(self, tmp_path, capsys):
-        assert cache_cli(["--cache", "export", "--dir", str(tmp_path)]) == 2
-        capsys.readouterr()

@@ -3,8 +3,8 @@
 The purity analysis (MAYA050) proves statically that no sim-reachable
 code reads ``REPRO_*`` configuration; this is the dynamic half of that
 contract.  The same ``SessionJob`` must produce the same content address
-and a bit-identical trace whether it runs serially, across workers, in
-lock-step batches, or with telemetry recording enabled — the
+and a bit-identical trace whether it runs serially, in lock-step
+batches, or with telemetry recording enabled — the
 infrastructure knobs select *how* the work is done, never *what* is
 computed.
 """
@@ -15,7 +15,6 @@ from repro.machine import SYS1
 
 #: Every infrastructure variable the sweep perturbs (and must clear).
 INFRA_VARS = (
-    "REPRO_WORKERS",
     "REPRO_BACKEND",
     "REPRO_BATCH_SIZE",
     "REPRO_TELEMETRY",
@@ -23,7 +22,6 @@ INFRA_VARS = (
 
 #: The sweep matrix: each entry is one infrastructure configuration.
 SWEEP = (
-    {"REPRO_WORKERS": "2"},
     {"REPRO_BACKEND": "serial"},
     {"REPRO_BACKEND": "batch"},
     {"REPRO_BACKEND": "batch", "REPRO_BATCH_SIZE": "2"},

@@ -1,4 +1,4 @@
-"""Tests for repro.telemetry.aggregate / export: rollups, merge, exposition."""
+"""Tests for repro.telemetry.aggregate / export: rollups, merge, bench history."""
 
 import json
 import random
@@ -16,10 +16,8 @@ from repro.telemetry.aggregate import (
 )
 from repro.telemetry.export import (
     bench_history,
-    parse_prometheus,
     render_history,
     to_json,
-    to_prometheus,
 )
 
 EDGES = (1.0, 2.0, 4.0)
@@ -207,27 +205,7 @@ class TestFleetRollup:
         assert run["children"][0]["name"] == "chunk"
 
 
-class TestPrometheus:
-    def test_round_trip_is_exact(self):
-        snapshot = sample_registry().render()
-        assert parse_prometheus(to_prometheus(snapshot)) == snapshot
-
-    def test_exposition_format(self):
-        text = to_prometheus(sample_registry().render())
-        assert "# TYPE maya_exec_cache_hits counter" in text
-        assert "# HELP maya_exec_cache_hits exec.cache.hits" in text
-        assert 'maya_telemetry_err_w_bucket{le="+Inf"} 2' in text
-        assert "maya_telemetry_err_w_count 2" in text
-
-    def test_rollup_payload_unwraps_to_metrics(self, tmp_path):
-        rollup = {"schema": ROLLUP_SCHEMA, "metrics": sample_registry().render()}
-        assert parse_prometheus(to_prometheus(rollup)) == sample_registry().render()
-
-    def test_name_collision_raises(self):
-        payload = {"counters": {"a.b": 1, "a_b": 2}, "gauges": {}, "histograms": {}}
-        with pytest.raises(ValueError):
-            to_prometheus(payload)
-
+class TestJson:
     def test_json_is_canonical(self):
         rendered = sample_registry().render()
         assert json.loads(to_json(rendered)) == rendered
@@ -241,37 +219,40 @@ class TestBenchHistory:
         registry = RunRegistry(root=tmp_path / "registry")
         for i, results in enumerate(results_list):
             registry.record("bench", f"bench-{i}", results=results)
-        registry.record("attack", "not-a-bench", results={"parallel_speedup": 0.0})
+        registry.record("attack", "not-a-bench", results={"batched_speedup": 0.0})
         return registry
 
     def test_flags_below_floor_results(self, tmp_path):
         registry = self.fake_registry(tmp_path, [
-            {"parallel_speedup": 2.0, "batched_speedup": 3.0},
-            {"parallel_speedup": 1.1, "batched_speedup": 3.0},
+            {"auto_speedup": 2.0, "batched_speedup": 3.0},
+            {"auto_speedup": 2.0, "batched_speedup": 1.1},
         ])
         report = bench_history(registry=registry)
         assert len(report["rows"]) == 2  # the attack run is excluded
         assert report["rows"][0]["flags"] == []
-        assert report["rows"][1]["flags"] == ["parallel_speedup"]
-        assert report["regressions"] == ["parallel_speedup"]
+        assert report["rows"][1]["flags"] == ["batched_speedup"]
+        assert report["regressions"] == ["batched_speedup"]
         rendered = render_history(report)
         assert "REGRESSIONS" in rendered and "1.10!" in rendered
 
     def test_floor_overrides(self, tmp_path):
-        registry = self.fake_registry(tmp_path, [{"parallel_speedup": 2.0}])
-        report = bench_history(registry=registry, floors={"parallel_speedup": 5.0})
-        assert report["regressions"] == ["parallel_speedup"]
+        registry = self.fake_registry(tmp_path, [{"batched_speedup": 2.0}])
+        report = bench_history(registry=registry, floors={"batched_speedup": 5.0})
+        assert report["regressions"] == ["batched_speedup"]
 
     def test_manifests_with_retired_results_still_read(self, tmp_path):
-        # Manifests from before the fast tier's removal carry fast_speedup;
-        # a result with no floor is skipped, never flagged.
+        # Manifests from before the fast tier's and the process backend's
+        # removal carry fast_speedup and parallel_speedup; a result with no
+        # floor is skipped, never flagged.
         registry = self.fake_registry(tmp_path, [
-            {"parallel_speedup": 2.0, "fast_speedup": 3.0},
+            {"batched_speedup": 2.5, "fast_speedup": 3.0, "parallel_speedup": 1.1},
         ])
         report = bench_history(registry=registry)
-        assert report["rows"][0]["results"] == {"parallel_speedup": 2.0}
+        assert report["rows"][0]["results"] == {"batched_speedup": 2.5}
         assert report["regressions"] == []
-        assert "fast_speedup" not in render_history(report)
+        rendered = render_history(report)
+        assert "fast_speedup" not in rendered
+        assert "parallel_speedup" not in rendered
 
     def test_empty_registry(self, tmp_path):
         from repro.exec.registry import RunRegistry
@@ -302,7 +283,7 @@ class TestSyntheticJobs:
 
 
 class TestCli:
-    def test_aggregate_export_profile_verbs(self, tmp_path, capsys):
+    def test_aggregate_profile_verbs(self, tmp_path, capsys):
         tdir = tmp_path / "telemetry"
         tdir.mkdir()
         write_session(tdir / "session-a.jsonl")
@@ -314,13 +295,6 @@ class TestCli:
         capsys.readouterr()
         rollup = json.loads(rollup_path.read_text())
         assert rollup["schema"] == ROLLUP_SCHEMA
-
-        assert telemetry_cli(["export", str(rollup_path)]) == 0
-        text = capsys.readouterr().out
-        assert parse_prometheus(text) == rollup["metrics"]
-
-        assert telemetry_cli(["export", str(rollup_path), "--format", "json"]) == 0
-        assert json.loads(capsys.readouterr().out) == rollup
 
         assert telemetry_cli(["profile", str(tdir)]) == 0
         out = capsys.readouterr().out

@@ -126,7 +126,7 @@ class TestEngineIntegration:
     def test_engine_emits_span_hierarchy(self, tmp_path):
         profile.set_profiler(SpanProfiler(root=tmp_path))
         jobs = profile_jobs()
-        run_sessions(jobs, workers=1, cache=False, backend="batch")
+        run_sessions(jobs, cache=False, backend="batch")
         profile.set_profiler(None)
         spans = read_spans(tmp_path)
         names = {s["name"] for s in spans}
@@ -139,8 +139,7 @@ class TestEngineIntegration:
     def test_run_span_child_coverage(self, tmp_path):
         """The span tree accounts for >=95% of the engine's wall-clock."""
         profile.set_profiler(SpanProfiler(root=tmp_path))
-        run_sessions(profile_jobs(duration_s=8.0), workers=1, cache=False,
-                     backend="batch")
+        run_sessions(profile_jobs(duration_s=8.0), cache=False, backend="batch")
         profile.set_profiler(None)
         tree = span_tree([tmp_path / PROFILE_FILE])
         run_node = next(n for n in tree["roots"] if n["name"] == "run")
@@ -157,8 +156,7 @@ class TestEngineIntegration:
             if profiled:
                 profile.set_profiler(SpanProfiler(root=root / "prof"))
             try:
-                traces = run_sessions(jobs, workers=1, cache=False,
-                                      backend="batch")
+                traces = run_sessions(jobs, cache=False, backend="batch")
             finally:
                 profile.set_profiler(None)
                 telemetry.set_recorder(None)
