@@ -10,36 +10,23 @@ from conftest import BENCH_SEED, report
 
 from repro.attacks import run_attack
 from repro.attacks.mlp import MLPConfig
-from repro.defenses.designs import MayaDefense
 from repro.experiments.common import attack_scenario, experiment_apps
 from repro.machine import SYS1
-
-
-class _MaskFamilyFactory:
-    """Create-per-run wrapper exposing one Maya mask family by name."""
-
-    def __init__(self, base_factory, family):
-        self._base = base_factory
-        self._family = family
-
-    def create(self, design_name):
-        assert design_name == "ablation"
-        return MayaDefense(self._base.maya_design(self._family))
 
 
 @pytest.mark.parametrize("family", ["constant", "uniform", "gaussian", "sinusoid",
                                     "gaussian_sinusoid"])
 def test_ablation_mask_family(benchmark, scale, sys1_factory, family):
     apps = experiment_apps(scale)[:4]
+    design = "maya_gs" if family == "gaussian_sinusoid" else f"maya_{family}"
     scenario = attack_scenario(
         name=f"ablation-{family}", spec=SYS1, class_workloads=apps,
-        defense="ablation", scale=scale, seed=BENCH_SEED, pool=20,
+        defense=design, scale=scale, seed=BENCH_SEED, pool=20,
         runs_per_class=max(scale.runs_per_class // 2, 8),
         mlp=MLPConfig(hidden_sizes=(96, 48), max_epochs=40),
     )
-    factory = _MaskFamilyFactory(sys1_factory, family)
     outcome = benchmark.pedantic(
-        lambda: run_attack(scenario, factory), rounds=1, iterations=1
+        lambda: run_attack(scenario, sys1_factory), rounds=1, iterations=1
     )
     chance = outcome.chance_accuracy
     report(

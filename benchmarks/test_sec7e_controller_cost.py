@@ -5,6 +5,8 @@ machinery directly: the controller step and mask sampling are the two
 operations Maya executes every 20 ms.
 """
 
+import time
+
 import numpy as np
 from conftest import BENCH_SEED, report
 
@@ -25,6 +27,18 @@ def test_sec7e_summary(benchmark, scale, sys1_factory):
     assert result.storage_bytes < 1024
 
 
+def _mean_latency_s(benchmark, operation, repeats=2000):
+    """Mean seconds per call: pytest-benchmark's statistic, or a direct
+    timing loop under ``--benchmark-disable`` (which records no stats)."""
+    benchmark(operation)
+    if benchmark.stats is not None:
+        return benchmark.stats["mean"]
+    start = time.perf_counter()
+    for _ in range(repeats):
+        operation()
+    return (time.perf_counter() - start) / repeats
+
+
 def test_sec7e_controller_step_latency(benchmark, sys1_factory):
     design = sys1_factory.maya_design("gaussian_sinusoid")
     instance = design.instantiate(spawn(BENCH_SEED, "bench-step"))
@@ -36,13 +50,11 @@ def test_sec7e_controller_step_latency(benchmark, sys1_factory):
             float(rng.uniform(low, high)), float(rng.uniform(low, high))
         )
 
-    benchmark(step)
     # Python-level budget: well under the 20 ms control interval.
-    assert benchmark.stats["mean"] < 0.002
+    assert _mean_latency_s(benchmark, step) < 0.002
 
 
 def test_sec7e_mask_sample_latency(benchmark, sys1_factory):
     design = sys1_factory.maya_design("gaussian_sinusoid")
     instance = design.instantiate(spawn(BENCH_SEED, "bench-mask"))
-    benchmark(instance.mask.next_target)
-    assert benchmark.stats["mean"] < 0.001
+    assert _mean_latency_s(benchmark, instance.mask.next_target) < 0.001

@@ -74,7 +74,7 @@ class MatrixController:
         self._y_scale = plant.y_scale_w
         self._input_signs = plant.input_power_signs()
         # Plain-int diagnostic counters (sat_hi, sat_lo, aw, saturation
-        # steps, anti-windup steps).  Telemetry reads them through
+        # steps, anti-windup steps), exposed through
         # Defense.diagnostics(); the controller itself never touches the
         # telemetry package (the out-of-band invariant, MAYA032).
         self._bind(

@@ -143,7 +143,7 @@ class FixedPointController:
     def _check_saturation(self, matrices: StateSpace, on_clip: str) -> None:
         # Per-matrix clipped-entry counts are recorded unconditionally so
         # the static certifier (repro.lint.certify counts the same
-        # saturation masks) and the telemetry stream always agree.
+        # saturation masks) and the telemetry counters always agree.
         self.clipped_by_matrix = {
             name: int(np.count_nonzero(self.fmt.saturation_mask(matrix)))
             for name, matrix in (
@@ -165,12 +165,6 @@ class FixedPointController:
         if on_clip == "raise":
             raise FixedPointOverflowError(detail)
         warnings.warn(detail, RuntimeWarning, stacklevel=3)
-        telemetry.session_event(
-            "fixedpoint.clip",
-            fmt=self.fmt.describe(),
-            entries=self.clipped_entries,
-            matrices="".join(clipped),
-        )
         telemetry.count("control.fixedpoint.clip_events")
         telemetry.count("control.fixedpoint.clipped_entries", self.clipped_entries)
 

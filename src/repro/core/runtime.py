@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import telemetry
 from ..defenses.base import Defense
 from ..machine import RaplSensor, SimulatedMachine, Trace, spawn
 from ..workloads.phases import PhaseProgram
@@ -107,65 +106,41 @@ def run_session(
     interval_index = 0
     completion_deadline: int | None = None
 
-    # Fire-and-forget telemetry (sim-time keyed, NullRecorder by default).
-    # The simulation only *calls into* the telemetry package — it never
-    # holds or reads telemetry state back (MAYA032).
-    telemetry.session_begin(
-        platform=spec.name,
-        workload=machine.workload.name,
-        defense=defense.name,
-        seed=seed,
-        run_id=run_id,
-        interval_s=interval_s,
-        duration_s=duration_s,
-        tick_s=machine.tick_s,
-        max_duration_s=max_duration_s,
-        tail_s=tail_s,
-        record_temperature=machine.record_temperature,
-    )
-    try:
-        while True:
-            if interval_index >= interval_cap:
+    while True:
+        if interval_index >= interval_cap:
+            break
+        if n_intervals is None:
+            if machine.completed and completion_deadline is None:
+                completion_deadline = interval_index + int(round(tail_s / interval_s))
+            if completion_deadline is not None and interval_index >= completion_deadline:
                 break
-            if n_intervals is None:
-                if machine.completed and completion_deadline is None:
-                    completion_deadline = interval_index + int(round(tail_s / interval_s))
-                if completion_deadline is not None and interval_index >= completion_deadline:
-                    break
 
-            if interval_index >= capacity:
-                capacity = min(capacity * 2, interval_cap)
-                measured = _grown(measured, capacity)
-                targets = _grown(targets, capacity)
-                settings_log = _grown(settings_log, capacity)
+        if interval_index >= capacity:
+            capacity = min(capacity * 2, interval_cap)
+            measured = _grown(measured, capacity)
+            targets = _grown(targets, capacity)
+            settings_log = _grown(settings_log, capacity)
 
-            power_w, temperature_c = machine.advance(interval_s, settings)
-            measurement_w = sensor.measure_window(power_w, machine.tick_s)
+        power_w, temperature_c = machine.advance(interval_s, settings)
+        measurement_w = sensor.measure_window(power_w, machine.tick_s)
 
-            if power_buffer is not None:
-                tick_start = interval_index * ticks_per_interval
-                power_buffer[tick_start:tick_start + power_w.size] = power_w
-                if temp_buffer is not None and temperature_c.size:
-                    temp_buffer[tick_start:tick_start + temperature_c.size] = temperature_c
-            else:
-                power_chunks.append(power_w)
-                if temperature_c.size:
-                    temp_chunks.append(temperature_c)
-            target_before_w = defense.current_target_w
-            applied = settings
-            measured[interval_index] = measurement_w
-            targets[interval_index] = target_before_w
-            settings_log[interval_index, 0] = settings.freq_ghz
-            settings_log[interval_index, 1] = settings.idle_frac
-            settings_log[interval_index, 2] = settings.balloon_level
+        if power_buffer is not None:
+            tick_start = interval_index * ticks_per_interval
+            power_buffer[tick_start:tick_start + power_w.size] = power_w
+            if temp_buffer is not None and temperature_c.size:
+                temp_buffer[tick_start:tick_start + temperature_c.size] = temperature_c
+        else:
+            power_chunks.append(power_w)
+            if temperature_c.size:
+                temp_chunks.append(temperature_c)
+        measured[interval_index] = measurement_w
+        targets[interval_index] = defense.current_target_w
+        settings_log[interval_index, 0] = settings.freq_ghz
+        settings_log[interval_index, 1] = settings.idle_frac
+        settings_log[interval_index, 2] = settings.balloon_level
 
-            settings = defense.decide(measurement_w)
-            telemetry.session_interval(
-                interval_index, target_before_w, measurement_w, applied, defense
-            )
-            interval_index += 1
-    finally:
-        telemetry.session_end()
+        settings = defense.decide(measurement_w)
+        interval_index += 1
 
     if power_buffer is not None:
         power_w = power_buffer[: interval_index * ticks_per_interval]

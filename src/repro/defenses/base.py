@@ -42,9 +42,9 @@ class Defense(abc.ABC):
     def diagnostics(self) -> "dict | None":
         """Controller-internal state of the last :meth:`decide`, if any.
 
-        Telemetry polls this after each interval; open-loop designs return
-        None.  The dict contains plain ints only — the defense never sees
-        or stores telemetry objects (the out-of-band invariant, MAYA032).
+        Readable after any interval; open-loop designs return None.  The
+        dict contains plain ints only — the defense never sees or stores
+        telemetry objects (the out-of-band invariant, MAYA032).
         """
         return None
 

@@ -8,6 +8,10 @@
   held for a random duration.
 * ``MayaConstant`` — Maya's formal controller tracking a constant target.
 * ``MayaGS`` — the proposal: formal controller + gaussian-sinusoid mask.
+
+:meth:`DefenseFactory.create` also builds Maya over the other Table II mask
+families (``maya_uniform``, ``maya_gaussian``, ``maya_sinusoid``) for the
+mask-family ablation.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 from ..core.config import MayaConfig
 from ..core.maya import MayaDesign, MayaInstance, build_maya_design
 from ..machine import ActuatorBank, ActuatorSettings, PlatformSpec, SimulatedMachine
+from ..masks import MASK_FAMILIES
 from .base import Defense
 
 __all__ = [
@@ -30,6 +35,20 @@ __all__ = [
 
 #: Table V, in the paper's order.
 DESIGN_NAMES = ("baseline", "noisy_baseline", "random_inputs", "maya_constant", "maya_gs")
+
+
+def _maya_name(mask_family: str) -> str:
+    """The design name of Maya deploying ``mask_family``."""
+    return "maya_gs" if mask_family == "gaussian_sinusoid" else f"maya_{mask_family}"
+
+
+#: Mask family of every Maya design name, over all of Table II.
+_MAYA_FAMILIES = {_maya_name(family): family for family in MASK_FAMILIES}
+#: Every name :meth:`DefenseFactory.create` accepts: Table V, then Maya
+#: over the remaining mask families.
+_KNOWN_DESIGNS = DESIGN_NAMES + tuple(
+    name for name in _MAYA_FAMILIES if name not in DESIGN_NAMES
+)
 
 
 class Baseline(Defense):
@@ -99,15 +118,12 @@ class RandomInputs(Defense):
 
 
 class MayaDefense(Defense):
-    """Maya with any mask family (``maya_constant`` / ``maya_gs``)."""
+    """Maya with any mask family (``maya_constant`` / ``maya_gs`` / ...)."""
 
     def __init__(self, design: MayaDesign) -> None:
         super().__init__()
         self.design = design
-        self.name = (
-            "maya_gs" if design.config.mask_family == "gaussian_sinusoid"
-            else f"maya_{design.config.mask_family}"
-        )
+        self.name = _maya_name(design.config.mask_family)
         self._instance: MayaInstance | None = None
 
     def prepare(self, machine: SimulatedMachine, rng: np.random.Generator) -> None:
@@ -191,15 +207,15 @@ class DefenseFactory:
         return self._designs[key]
 
     def create(self, design_name: str) -> Defense:
-        """Instantiate one Table V design by name."""
+        """Instantiate one design by name: Table V, or Maya over any mask
+        family under the name :class:`MayaDefense` reports."""
         if design_name == "baseline":
             return Baseline()
         if design_name == "noisy_baseline":
             return NoisyBaseline()
         if design_name == "random_inputs":
             return RandomInputs()
-        if design_name == "maya_constant":
-            return MayaDefense(self.maya_design("constant"))
-        if design_name == "maya_gs":
-            return MayaDefense(self.maya_design("gaussian_sinusoid"))
-        raise KeyError(f"unknown design {design_name!r}; known: {DESIGN_NAMES}")
+        family = _MAYA_FAMILIES.get(design_name)
+        if family is not None:
+            return MayaDefense(self.maya_design(family))
+        raise KeyError(f"unknown design {design_name!r}; known: {_KNOWN_DESIGNS}")

@@ -13,7 +13,6 @@ from .batch import (
     BatchedMachine,
     batch_key,
     execute_jobs_batched,
-    resolve_batch_size,
 )
 from .cache import (
     DEFAULT_CACHE_DIR,
@@ -56,7 +55,6 @@ __all__ = [
     "batch_key",
     "choose_backend",
     "execute_jobs_batched",
-    "resolve_batch_size",
     "resolve_backend",
     "run_sessions",
     "CACHE_EPOCH",

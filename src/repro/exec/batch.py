@@ -51,11 +51,9 @@ line up row-for-row.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from .. import telemetry
 from ..telemetry import profile
 from ..defenses.base import decide_batch
 from ..defenses.designs import DefenseFactory
@@ -71,37 +69,11 @@ from ..workloads.phases import Phase, activity_block
 from .jobs import SessionJob
 
 __all__ = [
-    "DEFAULT_BATCH_SIZE",
     "BatchedMachine",
     "batch_key",
     "build_fleet",
     "execute_jobs_batched",
-    "open_channels",
-    "resolve_batch_size",
 ]
-
-#: Sessions simulated lock-step per batch unless overridden.  Large enough
-#: to amortize the per-interval numpy dispatch over a typical fleet, small
-#: enough that the ``(B, ticks)`` blocks stay cache-resident.
-DEFAULT_BATCH_SIZE = 32
-
-
-def resolve_batch_size(batch_size: object = None) -> int:
-    """Batch size: explicit argument > ``REPRO_BATCH_SIZE`` env > default."""
-    if batch_size is not None and int(batch_size) > 0:
-        return int(batch_size)
-    env = os.environ.get("REPRO_BATCH_SIZE", "").strip()
-    if env:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BATCH_SIZE must be an integer, got {env!r}"
-            ) from None
-        if value > 0:
-            return value
-    return DEFAULT_BATCH_SIZE
-
 
 def batch_key(job: SessionJob) -> "tuple | None":
     """Grouping key of jobs that may share one lock-step batch.
@@ -231,37 +203,6 @@ def build_fleet(
     return machines, defenses, sensors
 
 
-def open_channels(jobs, machines, defenses) -> "list | None":
-    """One telemetry channel per session (or ``None`` when recording is off).
-
-    Per-session channels let an interleaved lock-step loop still yield one
-    ordered event stream per session — byte-identical to the serial
-    runner's, because the channels serialize through the same code path
-    with the same values.
-    """
-    recorder = telemetry.get_recorder()
-    if not recorder.enabled:
-        return None
-    return [
-        recorder.session(
-            engine="lockstep",
-            job_key=job.key(),
-            platform=job.spec.name,
-            workload=machine.workload.name,
-            defense=defense.name,
-            seed=job.seed,
-            run_id=job.run_id,
-            interval_s=job.interval_s,
-            duration_s=job.duration_s,
-            tick_s=job.tick_s,
-            max_duration_s=job.max_duration_s,
-            tail_s=job.tail_s,
-            record_temperature=job.record_temperature,
-        )
-        for job, machine, defense in zip(jobs, machines, defenses)
-    ]
-
-
 def execute_jobs_batched(
     jobs: "list[SessionJob]", factory: DefenseFactory | None = None
 ) -> "list[Trace]":
@@ -280,22 +221,16 @@ def execute_jobs_batched(
 
     with profile.span("fleet.build", sessions=len(jobs)):
         machines, defenses, sensors = build_fleet(jobs, factory)
-        channels = open_channels(jobs, machines, defenses)
 
     template = jobs[0]
-    traces = _run_lockstep(
+    return _run_lockstep(
         machines,
         defenses,
         sensors,
         interval_s=float(template.interval_s),
         duration_s=float(template.duration_s),
         max_duration_s=float(template.max_duration_s),
-        channels=channels,
     )
-    if channels is not None:
-        for channel in channels:
-            channel.close()
-    return traces
 
 
 def _run_lockstep(
@@ -305,7 +240,6 @@ def _run_lockstep(
     interval_s: float,
     duration_s: float,
     max_duration_s: float,
-    channels: "list | None" = None,
 ) -> "list[Trace]":
     """The lock-step twin of :func:`repro.core.runtime.run_session`."""
     n_sessions = len(machines)
@@ -348,18 +282,8 @@ def _run_lockstep(
             for applied in settings
         ]
 
-        applied_settings = settings
         with profile.span("kernel.decide", interval=interval_index):
             settings = decide_batch(defenses, measurements_w)
-        if channels is not None:
-            for row, channel in enumerate(channels):
-                channel.interval(
-                    interval_index,
-                    target_w[row, interval_index],
-                    measured_w[row, interval_index],
-                    applied_settings[row],
-                    defenses[row],
-                )
 
     return [
         Trace(

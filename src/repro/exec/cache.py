@@ -11,7 +11,6 @@ Layout (v2)::
 
     <root>/journal.jsonl                     append-only stats/LRU journal
     <root>/shards/<id[:2]>/<key>.npz         one session entry
-    <root>/shards/<id[:2]>/<key>.events.jsonl   telemetry sidecar
     <root>/shards/<d[:2]>/pack-<d>.npz       packed group entry (see below)
 
 Entries fan out into 256 shard directories by content-address prefix so no
@@ -25,9 +24,8 @@ Properties:
   content;
 * **journaled accounting** — every ``put``/hit/evict appends one JSONL
   record to ``journal.jsonl`` (a single ``O_APPEND`` write, so concurrent
-  writers interleave whole records).  Entry sizes — *including* sidecar
-  bytes, so ``REPRO_CACHE_MAX_MB`` bounds real disk usage — and the LRU
-  order are replayed from the journal; eviction never rescans the shard
+  writers interleave whole records).  Entry sizes and the LRU order are
+  replayed from the journal; eviction never rescans the shard
   tree.  A full tree scan happens only on recovery (journal missing but
   shards present) and is counted in ``stats()["tree_scans"]``.  Handles in
   other processes converge by tailing the journal from their last offset;
@@ -36,8 +34,7 @@ Properties:
 * **LRU size bounding** — after each write the store is trimmed to
   ``max_bytes`` (``REPRO_CACHE_MAX_MB``, default 512 MB), evicting the
   least-recently-used entries (hits move an entry to the journal's tail).
-  The newest entry is never evicted, and eviction deletes the entry's
-  telemetry sidecars with it;
+  The newest entry is never evicted;
 * **bulk I/O** — :meth:`get_many`/:meth:`put_many` resolve a whole job
   group against one journal refresh and one journal append.
   :meth:`put_many` stores a lock-step batch as a single *packed group
@@ -49,11 +46,8 @@ Properties:
 * **corruption tolerance** — an unreadable entry is treated as a miss and
   overwritten by the fresh simulation; torn journal tails and foreign
   lines are skipped;
-* **telemetry sidecars** — when recording is enabled
-  (:mod:`repro.telemetry`), each entry carries a ``.events.jsonl`` sidecar
-  holding the session's telemetry stream, replayed byte-for-byte on a
-  hit so cached and fresh runs are observationally identical.  Hit, miss
-  and eviction counts also flow into the ambient metrics registry.
+* **metrics** — hit, miss and eviction counts flow into the ambient
+  metrics registry (:mod:`repro.telemetry`).
 
 All shard-tree enumeration is wrapped directly in ``sorted(...)``
 (MAYA031): store behaviour is a function of store *content*, never of
@@ -64,13 +58,15 @@ Environment:
 * ``REPRO_CACHE=1`` — enable the default cache for every
   :func:`~repro.exec.engine.run_sessions` call;
 * ``REPRO_CACHE_DIR`` — cache directory (default ``.maya-cache/``);
-* ``REPRO_CACHE_MAX_MB`` — size bound in megabytes.
+* ``REPRO_CACHE_MAX_MB`` — size bound in megabytes (a finite positive
+  number).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import zipfile
 from pathlib import Path
@@ -100,8 +96,6 @@ PACK_SCHEMA = "maya.trace.pack.npz.v1"
 
 _JOURNAL = "journal.jsonl"
 _SHARDS = "shards"
-#: Suffix of the telemetry sidecar an entry may carry per session key.
-_SIDECAR_SUFFIX = ".events.jsonl"
 #: Compact the journal once it holds this many records beyond the live set.
 _COMPACT_SLACK = 4096
 
@@ -124,6 +118,23 @@ def _file_bytes(path: Path) -> int:
         return 0
 
 
+def _env_max_bytes() -> float:
+    """The size bound from ``REPRO_CACHE_MAX_MB`` (default 512 MB), in bytes."""
+    env = os.environ.get("REPRO_CACHE_MAX_MB", "").strip()
+    if not env:
+        return _DEFAULT_MAX_MB * 1e6
+    try:
+        max_mb = float(env)
+    except ValueError:
+        max_mb = math.nan
+    if not (math.isfinite(max_mb) and max_mb > 0):
+        raise ValueError(
+            f"REPRO_CACHE_MAX_MB must be a finite positive number of "
+            f"megabytes, got {env!r}"
+        )
+    return max_mb * 1e6
+
+
 def _is_group(entry_id: str) -> bool:
     return entry_id.startswith("g-")
 
@@ -136,8 +147,7 @@ class TraceCache:
             root = os.environ.get("REPRO_CACHE_DIR", "").strip() or DEFAULT_CACHE_DIR
         self.root = Path(root)
         if max_bytes is None:
-            env = os.environ.get("REPRO_CACHE_MAX_MB", "").strip()
-            max_bytes = float(env) * 1e6 if env else _DEFAULT_MAX_MB * 1e6
+            max_bytes = _env_max_bytes()
         self.max_bytes = int(max_bytes)
         #: Runtime counters for this cache handle (not persisted).
         self.hits = 0
@@ -179,10 +189,6 @@ class TraceCache:
         """Where ``job``'s single-session entry lives (packed or not)."""
         key = job.key()
         return self.root / _SHARDS / key[:2] / f"{key}.npz"
-
-    def _key_sidecar(self, key: str) -> Path:
-        """The telemetry sidecar of a session key (``<key>.events.jsonl``)."""
-        return self.root / _SHARDS / key[:2] / f"{key}{_SIDECAR_SUFFIX}"
 
     # -- journal -------------------------------------------------------
 
@@ -390,10 +396,8 @@ class TraceCache:
         else:
             entry_id = path.stem
             keys = [path.stem]
-        nbytes = _file_bytes(path)
-        for key in keys:
-            nbytes += _file_bytes(self._key_sidecar(key))
-        return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
+        return {"op": "put", "id": entry_id, "bytes": _file_bytes(path),
+                "keys": keys}
 
     # -- lookup --------------------------------------------------------
 
@@ -429,7 +433,6 @@ class TraceCache:
             touched[entry_id] = True
             self.hits += 1
             telemetry.count("exec.cache.hits")
-            telemetry.restore_session_events(self._key_sidecar(key), job)
         self._commit([{"op": "touch", "id": entry_id} for entry_id in touched])
         return results
 
@@ -496,22 +499,11 @@ class TraceCache:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def _sidecar_bytes(self, job, key: str) -> int:
-        """Store the job's telemetry sidecar; return its bytes."""
-        sidecar = self._key_sidecar(key)
-        written = telemetry.store_session_events(sidecar, job)
-        if not written:
-            # Recording is off (or the session left no stream): a sidecar
-            # from an earlier recording run still occupies disk — count it.
-            written = _file_bytes(sidecar)
-        return written
-
     def _put_single(self, job, trace: Trace) -> dict:
         key = job.key()
         path = self._path(job)
         self._atomic_npz(path, trace.save_npz)
-        nbytes = _file_bytes(path) + self._sidecar_bytes(job, key)
-        return {"op": "put", "id": key, "bytes": nbytes, "keys": [key]}
+        return {"op": "put", "id": key, "bytes": _file_bytes(path), "keys": [key]}
 
     def _put_packed(self, jobs, traces) -> dict:
         keys = [job.key() for job in jobs]
@@ -520,10 +512,8 @@ class TraceCache:
         path = self._entry_path(entry_id)
         with profile.span("cache.pack_write", key=entry_id, sessions=len(keys)):
             self._atomic_npz(path, lambda tmp: _save_pack(tmp, keys, traces))
-        nbytes = _file_bytes(path)
-        for job, key in zip(jobs, keys):
-            nbytes += self._sidecar_bytes(job, key)
-        return {"op": "put", "id": entry_id, "bytes": nbytes, "keys": keys}
+        return {"op": "put", "id": entry_id, "bytes": _file_bytes(path),
+                "keys": keys}
 
     # -- maintenance ---------------------------------------------------
 
@@ -532,16 +522,6 @@ class TraceCache:
         self._refresh()
         return [(self._entry_path(entry_id), entry[0])
                 for entry_id, entry in self._entries.items()]
-
-    def _delete_entry_files(self, entry_id: str) -> None:
-        self._entry_path(entry_id).unlink(missing_ok=True)
-        _, keys = self._entries.get(entry_id, (0, ()))
-        for key in keys:
-            if self._by_key.get(key) != entry_id:
-                # The key was re-stored under a newer entry; its sidecars
-                # belong to that entry now.
-                continue
-            self._key_sidecar(key).unlink(missing_ok=True)
 
     def _evict(self) -> None:
         if self._total_bytes <= self.max_bytes:
@@ -562,7 +542,7 @@ class TraceCache:
         records = []
         with profile.span("cache.evict", victims=len(victims)):
             for entry_id in victims:
-                self._delete_entry_files(entry_id)
+                self._entry_path(entry_id).unlink(missing_ok=True)
                 records.append({"op": "evict", "id": entry_id})
                 self.evictions += 1
                 telemetry.count("exec.cache.evictions")

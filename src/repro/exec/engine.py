@@ -26,12 +26,13 @@ import os
 from .. import telemetry
 from ..telemetry import profile
 from ..defenses.designs import DefenseFactory
-from .batch import batch_key, execute_jobs_batched, resolve_batch_size
+from .batch import batch_key, execute_jobs_batched
 from .cache import TraceCache, default_cache
 from .jobs import SessionJob
 
 __all__ = [
     "BACKENDS",
+    "BATCH_SIZE",
     "choose_backend",
     "resolve_backend",
     "run_sessions",
@@ -41,6 +42,11 @@ __all__ = [
 #: ``"auto"`` resolves to one of the concrete two per run (see
 #: :func:`choose_backend`).
 BACKENDS = ("auto", "serial", "batch")
+
+#: Sessions simulated lock-step per batch.  Large enough to amortize the
+#: per-interval numpy dispatch over a typical fleet, small enough that the
+#: ``(B, ticks)`` blocks stay cache-resident.
+BATCH_SIZE = 32
 
 
 def resolve_backend(backend: object = None) -> str:
@@ -101,7 +107,6 @@ def run_sessions(
     cache: object = None,
     factory: DefenseFactory | None = None,
     backend: object = None,
-    batch_size: object = None,
 ) -> list:
     """Execute ``jobs`` and return their traces **in job order**.
 
@@ -113,8 +118,6 @@ def run_sessions(
       rebuilding Maya designs).
     * ``backend`` — see :func:`resolve_backend`.  Every backend returns
       bit-identical traces; only the simulation loop differs.
-    * ``batch_size`` — sessions per lock-step batch under the batch
-      backend (:func:`~repro.exec.batch.resolve_batch_size`).
     """
     jobs = list(jobs)
     backend = resolve_backend(backend)
@@ -152,7 +155,7 @@ def run_sessions(
         telemetry.count("exec.jobs.executed", len(pending))
         if pending:
             if backend == "batch":
-                _execute_batched(jobs, pending, results, factory, cache, batch_size)
+                _execute_batched(jobs, pending, results, factory, cache)
             else:
                 _execute_serial(jobs, pending, results, factory, cache)
         telemetry.ops(
@@ -177,17 +180,16 @@ def _execute_serial(jobs, indices, results, factory, cache, **ops_fields):
         telemetry.ops("job.end", index=index)
 
 
-def _execute_batched(jobs, pending, results, factory, cache, batch_size):
+def _execute_batched(jobs, pending, results, factory, cache):
     """Advance compatible pending jobs lock-step; serial-fallback the rest.
 
     Jobs are grouped by :func:`batch_key` through an insertion-ordered
     dict, so grouping — like everything else in this layer — is a pure
-    function of job order (MAYA030).  Each group is chunked to the batch
-    size and simulated by :func:`execute_jobs_batched`; ungroupable jobs
-    (completion-mode, temperature-recording) run through the ordinary
-    serial runner.  Results land at their job's index either way.
+    function of job order (MAYA030).  Each group is chunked to
+    :data:`BATCH_SIZE` sessions and simulated by
+    :func:`execute_jobs_batched`; ungroupable jobs (completion-mode,
+    temperature-recording) run through the ordinary serial runner.  Results land at their job's index either way.
     """
-    batch_size = resolve_batch_size(batch_size)
     groups: dict = {}
     ungroupable: list = []
     for index in pending:
@@ -199,8 +201,8 @@ def _execute_batched(jobs, pending, results, factory, cache, batch_size):
     for indices in groups.values():
         group_jobs = [jobs[index] for index in indices]
         with profile.span("group", key=_chunk_span_key(group_jobs), sessions=len(indices)):
-            for start in range(0, len(indices), batch_size):
-                chunk = indices[start:start + batch_size]
+            for start in range(0, len(indices), BATCH_SIZE):
+                chunk = indices[start:start + BATCH_SIZE]
                 chunk_jobs = [jobs[index] for index in chunk]
                 telemetry.ops("batch.group", size=len(chunk), indices=list(chunk))
                 telemetry.observe(

@@ -23,7 +23,6 @@ from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
-from .. import telemetry
 from ..core.runtime import make_machine, run_session
 from ..defenses.designs import DefenseFactory
 from ..machine import PlatformSpec, SimulatedMachine, Trace
@@ -254,26 +253,16 @@ class SessionJob:
     def execute(self, factory: DefenseFactory | None = None) -> Trace:
         """Run the session and return its trace (see :meth:`resolve_factory`)."""
         factory = self.resolve_factory(factory)
-        # Bind the session's telemetry manifest to this job's content
-        # address (key computation is skipped entirely when recording is
-        # off — the job key hashes the whole simulation source tree).
-        bound = telemetry.enabled()
-        if bound:
-            telemetry.push_job_key(self.key())
-        try:
-            return run_session(
-                self.build_machine(),
-                factory.create(self.defense),
-                seed=self.seed,
-                run_id=self.run_id,
-                interval_s=self.interval_s,
-                duration_s=self.duration_s,
-                max_duration_s=self.max_duration_s,
-                tail_s=self.tail_s,
-            )
-        finally:
-            if bound:
-                telemetry.pop_job_key()
+        return run_session(
+            self.build_machine(),
+            factory.create(self.defense),
+            seed=self.seed,
+            run_id=self.run_id,
+            interval_s=self.interval_s,
+            duration_s=self.duration_s,
+            max_duration_s=self.max_duration_s,
+            tail_s=self.tail_s,
+        )
 
 
 #: Per-process factory memo: Maya designs (sysid + synthesis) are expensive,

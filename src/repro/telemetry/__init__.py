@@ -1,11 +1,11 @@
-"""repro.telemetry — deterministic sim-time tracing, metrics, and manifests.
+"""repro.telemetry — deterministic metrics and operational events.
 
-Maya's security argument rests on internal dynamics the traces alone do
-not show: controller saturation and anti-windup activations, fixed-point
-clipping, the per-interval tracking error against the GS mask, and the
-execution engine's operational behaviour (cache interactions, retries,
-batch grouping).  This package makes those dynamics observable without
-ever feeding back into them:
+Maya's security argument rests on internal dynamics; the per-interval
+record of them (measured power, mask target, actuator settings) is the
+:class:`~repro.machine.trace.Trace` itself.  This package records what the
+trace does not: fixed-point clipping and the execution engine's
+operational behaviour (cache interactions, batch grouping, attack-pipeline
+folds), without ever feeding back into the simulation:
 
 * **Strictly out-of-band.**  A recorder sink is injected (ambient module
   state set by :func:`set_recorder` or the ``REPRO_TELEMETRY`` env var);
@@ -14,34 +14,23 @@ ever feeding back into them:
   and lint rule MAYA032 statically enforces that no ``repro.telemetry``
   symbol flows into machine/controller state — simulation packages may
   only *call* telemetry functions fire-and-forget.
-* **Deterministic sim time.**  Every session event is keyed on the
-  control-interval index (sim time = index × ``interval_s``), never the
-  host clock (MAYA002 bans wall-clock reads in sim code).  Two runs of
-  the same :class:`~repro.exec.jobs.SessionJob` — serial or lock-step
-  batched, fresh or replayed from the trace cache — therefore produce
-  byte-identical session JSONL (tested).
-* **Per-session files + run manifests.**  Each session's events land in
-  ``session-<digest>.jsonl`` under ``REPRO_TELEMETRY_DIR`` (default
-  ``.maya-telemetry/``), headed by a manifest line binding the session to
-  its job content address, code salt, git SHA, platform, and seed.
-  Engine-level operational events (cache hits, retries, batch groups,
-  attack-pipeline folds) stream to ``ops.jsonl``; metric snapshots are
-  rendered to ``metrics.json``.
+* **Ops stream + metric snapshots.**  Engine-level operational events
+  stream to ``ops.jsonl`` under ``REPRO_TELEMETRY_DIR`` (default
+  ``.maya-telemetry/``), ordered by sequence number, never the host clock;
+  metric snapshots are rendered to ``metrics.json``.
 * **Metrics registry.**  Counters, gauges, and fixed-bucket histograms
   (bucket edges are static constants, so rendered output is
   reproducible).
 
-CLI: ``python -m repro.telemetry summarize|diff|overhead`` renders
-per-run metric tables, diffs two event streams (proving bit-identity
-extends to *behavioural* identity across backends), and gates the
-recording overhead against a benchmark budget.
+CLI: ``python -m repro.telemetry summarize|overhead|aggregate|profile``
+renders metric and ops tables, gates the recording overhead against a
+benchmark budget, folds runs into one rollup, and renders the span
+profiler's self-time tree.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
 import os
 import subprocess
 from bisect import bisect_left
@@ -49,46 +38,30 @@ from pathlib import Path
 
 __all__ = [
     "DEFAULT_TELEMETRY_DIR",
-    "ERR_HIST_EDGES_W",
     "GROUP_SIZE_HIST_EDGES",
-    "MANIFEST_SCHEMA",
     "METRICS_SCHEMA",
     "Histogram",
     "MetricsRegistry",
     "NullRecorder",
-    "SessionChannel",
     "TelemetryRecorder",
     "count",
     "enabled",
     "gauge",
     "get_recorder",
     "git_sha",
-    "job_identity",
     "observe",
     "ops",
-    "pop_job_key",
-    "push_job_key",
-    "session_active",
-    "session_begin",
-    "session_digest",
-    "session_end",
-    "session_event",
-    "session_interval",
     "set_recorder",
     "write_metrics",
 ]
 
-MANIFEST_SCHEMA = "maya.telemetry.session.v1"
 METRICS_SCHEMA = "maya.telemetry.metrics.v1"
 DEFAULT_TELEMETRY_DIR = ".maya-telemetry"
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
-#: Static bucket edges (watts) for the per-interval |tracking error|
-#: histogram.  Fixed at import time so rendered histograms are
-#: reproducible across runs and hosts.
-ERR_HIST_EDGES_W = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-
 #: Static bucket edges for the lock-step batch-group size histogram.
+#: Fixed at import time so rendered histograms are reproducible across
+#: runs and hosts.
 GROUP_SIZE_HIST_EDGES = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 #: Compact, canonical JSONL encoding shared by every writer.
@@ -213,67 +186,8 @@ class MetricsRegistry:
 
 
 # --------------------------------------------------------------------------
-# Session identity
+# Run context
 # --------------------------------------------------------------------------
-
-#: The fields that identify one session run (a behavioural identity: two
-#: runs sharing them must emit identical event streams).  Deliberately
-#: excludes *how* the session was executed (backend, cache state).
-_IDENTITY_FIELDS = (
-    "platform",
-    "workload",
-    "defense",
-    "seed",
-    "run_id",
-    "interval_s",
-    "duration_s",
-    "tick_s",
-    "max_duration_s",
-    "tail_s",
-    "record_temperature",
-)
-
-
-def session_digest(**identity: object) -> str:
-    """Stable 20-hex digest of a session's identity fields."""
-    parts = []
-    for field in _IDENTITY_FIELDS:
-        value = identity.get(field)
-        if field == "run_id":
-            rendered = repr(value)
-        elif value is None:
-            rendered = "None"
-        elif isinstance(value, bool):
-            rendered = str(value)
-        elif isinstance(value, (int, float)):
-            rendered = repr(float(value)) if isinstance(value, float) else repr(value)
-        else:
-            rendered = str(value)
-        parts.append(f"{field}={rendered}")
-    digest = hashlib.sha256("|".join(parts).encode())
-    return digest.hexdigest()[:20]
-
-
-def job_identity(job) -> str:
-    """The session digest of a :class:`~repro.exec.jobs.SessionJob`.
-
-    Must agree with what :func:`session_begin` computes inside
-    ``run_session`` for the same job — the trace cache keys its telemetry
-    sidecars on this.
-    """
-    return session_digest(
-        platform=job.spec.name,
-        workload=job.workload,
-        defense=job.defense,
-        seed=job.seed,
-        run_id=job.run_id,
-        interval_s=job.interval_s,
-        duration_s=job.duration_s,
-        tick_s=job.tick_s,
-        max_duration_s=job.max_duration_s,
-        tail_s=job.tail_s,
-        record_temperature=job.record_temperature,
-    )
 
 
 def git_sha() -> "str | None":
@@ -300,131 +214,9 @@ _UNSET = object()
 _GIT_SHA: object = _UNSET
 
 
-def _code_salt() -> "str | None":
-    # Lazy import: repro.exec imports this package, so the reverse edge
-    # must stay function-local.
-    try:
-        from ..exec.jobs import code_salt
-
-        return code_salt()
-    except Exception:  # pragma: no cover - salt is best-effort metadata
-        return None
-
-
 # --------------------------------------------------------------------------
-# Recorders and session channels
+# Recorders
 # --------------------------------------------------------------------------
-
-
-class SessionChannel:
-    """Buffered event stream of one session run.
-
-    Events are serialized eagerly (so both the serial and the lock-step
-    batched runner produce the exact same bytes) and written as one JSONL
-    file — manifest line, events, summary line — atomically at
-    :meth:`close`.
-    """
-
-    def __init__(
-        self,
-        recorder: "TelemetryRecorder",
-        identity: dict,
-        engine: str,
-        job_key: "str | None" = None,
-    ) -> None:
-        self.recorder = recorder
-        self.identity = dict(identity)
-        self.digest = session_digest(**identity)
-        self.engine = engine
-        self.job_key = job_key
-        self._lines: list = []
-        self.n_intervals = 0
-        self.saturation_steps = 0
-        self.antiwindup_steps = 0
-        self._err_n = 0
-        self._err_sum_w = 0.0
-        self._err_max_w = 0.0
-
-    def interval(self, t, target_w, measured_w, settings, defense) -> None:
-        """One control-interval sample, keyed on sim time (interval index).
-
-        ``target_w``/``measured_w``/``settings`` mirror exactly what the
-        trace logs for interval ``t`` (the command active *during* the
-        interval); the defense diagnostics describe the decision taken at
-        the interval's end.
-        """
-        event: dict = {"type": "event", "ev": "interval", "t": int(t)}
-        measured = float(measured_w)
-        event["measured_w"] = measured
-        target = float(target_w)
-        if math.isfinite(target):
-            err_w = target - measured
-            event["target_w"] = target
-            event["err_w"] = err_w
-            self._err_n += 1
-            self._err_sum_w += abs(err_w)
-            self._err_max_w = max(self._err_max_w, abs(err_w))
-            self.recorder.metrics.observe(
-                "session.abs_err_w", abs(err_w), ERR_HIST_EDGES_W
-            )
-        event["freq_ghz"] = float(settings.freq_ghz)
-        event["idle_frac"] = float(settings.idle_frac)
-        event["balloon_level"] = float(settings.balloon_level)
-        diagnostics = defense.diagnostics()
-        if diagnostics is not None:
-            sat_hi = int(diagnostics.get("sat_hi", 0))
-            sat_lo = int(diagnostics.get("sat_lo", 0))
-            antiwindup = int(diagnostics.get("aw", 0))
-            event["sat_hi"] = sat_hi
-            event["sat_lo"] = sat_lo
-            event["aw"] = antiwindup
-            if sat_hi or sat_lo:
-                self.saturation_steps += 1
-            self.antiwindup_steps += antiwindup
-        self.n_intervals += 1
-        self._lines.append(_dumps(event))
-
-    def event(self, name: str, **fields: object) -> None:
-        """A generic session-scoped event (e.g. a fixed-point clip)."""
-        payload: dict = {"type": "event", "ev": str(name)}
-        payload.update(fields)
-        self._lines.append(_dumps(payload))
-
-    def _manifest(self) -> dict:
-        manifest: dict = {
-            "type": "manifest",
-            "schema": MANIFEST_SCHEMA,
-            "identity": self.digest,
-            "engine": self.engine,
-            "job_key": self.job_key,
-            "code_salt": _code_salt(),
-            "git_sha": git_sha(),
-        }
-        for field in _IDENTITY_FIELDS:
-            value = self.identity.get(field)
-            manifest[field] = repr(value) if field == "run_id" else value
-        return manifest
-
-    def _summary(self) -> dict:
-        summary: dict = {
-            "type": "end",
-            "intervals": self.n_intervals,
-            "events": len(self._lines),
-            "saturation_steps": self.saturation_steps,
-            "antiwindup_steps": self.antiwindup_steps,
-        }
-        if self._err_n:
-            summary["err_mean_w"] = self._err_sum_w / self._err_n
-            summary["err_max_w"] = self._err_max_w
-        return summary
-
-    def close(self) -> Path:
-        """Write the session file atomically and return its path."""
-        lines = [_dumps(self._manifest()), *self._lines, _dumps(self._summary())]
-        path = self.recorder.session_path(self.digest)
-        self.recorder.metrics.count("telemetry.sessions")
-        _atomic_write_text(path, "\n".join(lines) + "\n")
-        return path
 
 
 class NullRecorder:
@@ -437,7 +229,7 @@ class NullRecorder:
 
 
 class TelemetryRecorder:
-    """JSONL recorder: per-session files, an ops stream, metric snapshots."""
+    """JSONL recorder: an ops stream and metric snapshots."""
 
     enabled = True
 
@@ -450,17 +242,6 @@ class TelemetryRecorder:
         self.root = Path(root)
         self.metrics = MetricsRegistry()
         self._ops_seq = 0
-
-    # -- session streams ----------------------------------------------
-
-    def session(
-        self, *, engine: str = "run_session", job_key: "str | None" = None,
-        **identity: object,
-    ) -> SessionChannel:
-        return SessionChannel(self, identity, engine=engine, job_key=job_key)
-
-    def session_path(self, digest: str) -> Path:
-        return self.root / f"session-{digest}.jsonl"
 
     # -- operational stream -------------------------------------------
 
@@ -500,12 +281,10 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# Ambient recorder + session stack (the injection points)
+# Ambient recorder (the injection point)
 # --------------------------------------------------------------------------
 
 _RECORDER: object = None
-_SESSIONS: list = []
-_JOB_KEYS: list = []
 
 
 def get_recorder():
@@ -523,95 +302,10 @@ def set_recorder(recorder) -> None:
     """Inject a recorder (None re-derives from the environment lazily)."""
     global _RECORDER
     _RECORDER = recorder
-    del _SESSIONS[:]
-    del _JOB_KEYS[:]
 
 
 def enabled() -> bool:
     return get_recorder().enabled
-
-
-def push_job_key(key: str) -> None:
-    """Bind the next session manifest to a job content address."""
-    _JOB_KEYS.append(key)
-
-
-def pop_job_key() -> None:
-    if _JOB_KEYS:
-        _JOB_KEYS.pop()
-
-
-def session_active() -> bool:
-    return bool(_SESSIONS) and _SESSIONS[-1] is not None
-
-
-def session_begin(
-    *,
-    platform,
-    workload,
-    defense,
-    seed,
-    run_id,
-    interval_s,
-    duration_s,
-    tick_s,
-    max_duration_s,
-    tail_s,
-    record_temperature,
-    engine: str = "run_session",
-) -> None:
-    """Open the ambient session channel (no-op when recording is off).
-
-    Called fire-and-forget by the session runner; simulation code never
-    holds the channel (MAYA032).  Sessions nest as a stack so a runner
-    that itself simulates (e.g. system identification) stays balanced.
-    """
-    recorder = get_recorder()
-    if not recorder.enabled:
-        _SESSIONS.append(None)
-        return
-    _SESSIONS.append(
-        recorder.session(
-            engine=engine,
-            job_key=_JOB_KEYS[-1] if _JOB_KEYS else None,
-            platform=platform,
-            workload=workload,
-            defense=defense,
-            seed=seed,
-            run_id=run_id,
-            interval_s=interval_s,
-            duration_s=duration_s,
-            tick_s=tick_s,
-            max_duration_s=max_duration_s,
-            tail_s=tail_s,
-            record_temperature=record_temperature,
-        )
-    )
-
-
-def session_interval(t, target_w, measured_w, settings, defense) -> None:
-    """Record one control interval on the ambient session channel."""
-    channel = _SESSIONS[-1] if _SESSIONS else None
-    if channel is None:
-        return
-    channel.interval(t, target_w, measured_w, settings, defense)
-
-
-def session_event(name: str, **fields: object) -> None:
-    """Record a generic event on the ambient session channel."""
-    channel = _SESSIONS[-1] if _SESSIONS else None
-    if channel is None:
-        return
-    channel.event(name, **fields)
-
-
-def session_end() -> None:
-    """Close the ambient session channel and write its file."""
-    if not _SESSIONS:
-        return
-    channel = _SESSIONS.pop()
-    if channel is not None:
-        channel.close()
 
 
 # --------------------------------------------------------------------------
@@ -647,67 +341,3 @@ def write_metrics() -> None:
     recorder = get_recorder()
     if recorder.enabled:
         recorder.write_metrics()
-
-
-# --------------------------------------------------------------------------
-# Trace-cache sidecars (byte-exact replay of cached sessions)
-# --------------------------------------------------------------------------
-
-
-def store_session_events(sidecar_path: Path, job) -> int:
-    """Copy a just-executed job's session file next to its cache entry.
-
-    Returns the number of sidecar bytes written (0 when recording is off
-    or the session left no stream) so the trace store can charge them to
-    the entry's size accounting without re-statting the file.
-    """
-    recorder = get_recorder()
-    if not recorder.enabled:
-        return 0
-    try:
-        source = recorder.session_path(job_identity(job))
-    except AttributeError:
-        # Synthetic jobs (e.g. the store micro-bench) carry a cache key
-        # but no behavioural identity — they leave no session stream.
-        return 0
-    try:
-        data = source.read_bytes()
-    except OSError:
-        return 0
-    _atomic_write_bytes(Path(sidecar_path), data)
-    return len(data)
-
-
-def restore_session_events(sidecar_path: Path, job) -> int:
-    """Replay a cache hit's sidecar into the telemetry directory.
-
-    The sidecar is a byte copy of the session file the original execution
-    produced, so a cached run's telemetry is byte-identical to a fresh
-    one (the manifest records the *original* execution's engine).
-    Returns the number of bytes replayed (0 when recording is off or the
-    entry has no sidecar).
-    """
-    recorder = get_recorder()
-    if not recorder.enabled:
-        return 0
-    try:
-        data = Path(sidecar_path).read_bytes()
-    except OSError:
-        return 0
-    try:
-        target = recorder.session_path(job_identity(job))
-    except AttributeError:
-        return 0  # synthetic job: nothing to replay into (see above)
-    _atomic_write_bytes(target, data)
-    recorder.metrics.count("telemetry.sessions.replayed")
-    return len(data)
-
-
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

@@ -1,24 +1,20 @@
 """CLI for telemetry streams: ``python -m repro.telemetry <command>``.
 
-* ``summarize <file...>`` — render per-run tables (session summaries,
-  event counts by type, metric snapshots) from session/ops JSONL files or
-  a ``metrics.json`` snapshot.
-* ``diff <a> <b>`` — compare two session event streams after stripping
-  their manifest headers.  Exit 0 when every event line is byte-identical
-  (the determinism oracle: serial vs. batch backend, fresh vs. cache
-  replay), exit 1 with the first divergence otherwise.
+* ``summarize <file...>`` — render per-run tables (ops event counts by
+  type, metric snapshots) from ``ops.jsonl`` files or ``metrics.json``
+  snapshots.
 * ``overhead <off.json> <on.json>`` — compare two BENCH_pipeline.json
   reports and fail when the telemetry-on run regresses the summed phase
   timings beyond the budget (the CI overhead gate).
 * ``aggregate <path...>`` — fold telemetry dirs, trace-store roots, and
   individual artifacts into one fleet rollup
-  (``maya.telemetry.rollup.v1``; see :mod:`repro.telemetry.aggregate`).
+  (``maya.telemetry.rollup.v2``; see :mod:`repro.telemetry.aggregate`).
 * ``profile <path...>`` — render the span self-time tree from
   ``profile.jsonl`` logs (total/self wall-clock, child coverage).
 
 ``summarize`` and ``aggregate`` accept directories: a telemetry dir
-(``session-*.jsonl`` + snapshots) or a trace-store root, whose
-``shards/<prefix>/*.events.jsonl`` sidecars are discovered automatically.
+(``ops.jsonl`` + snapshots); ``aggregate`` also accepts a trace-store
+root, whose shard occupancy it reports.
 """
 
 from __future__ import annotations
@@ -43,55 +39,19 @@ def _parse(line: str) -> dict:
     return payload if isinstance(payload, dict) else {}
 
 
-def _strip_manifest(lines: list) -> list:
-    """Event lines only: manifest headers carry run context (engine, git
-    SHA, job key) that is *allowed* to differ between equivalent runs."""
-    return [line for line in lines if _parse(line).get("type") != "manifest"]
-
-
 # --------------------------------------------------------------------------
 # summarize
 # --------------------------------------------------------------------------
 
 
 def _summarize_jsonl(path: Path) -> None:
-    lines = _read_lines(path)
-    manifest = None
-    summary = None
     counts: dict = {}
-    for line in lines:
+    for line in _read_lines(path):
         payload = _parse(line)
-        kind = payload.get("type")
-        if kind == "manifest" and manifest is None:
-            manifest = payload
-        elif kind == "end":
-            summary = payload
-        elif kind in ("event", "ops"):
+        if payload.get("type") == "ops":
             name = str(payload.get("ev", "?"))
             counts[name] = counts.get(name, 0) + 1
     print(f"== {path}")
-    if manifest is not None:
-        context = " ".join(
-            f"{field}={manifest.get(field)}"
-            for field in ("platform", "workload", "defense", "seed", "run_id", "engine")
-            if manifest.get(field) is not None
-        )
-        print(f"  session {manifest.get('identity', '?')}  {context}")
-        if manifest.get("git_sha"):
-            print(f"  git_sha {manifest['git_sha']}")
-    if summary is not None:
-        for field in (
-            "intervals",
-            "events",
-            "saturation_steps",
-            "antiwindup_steps",
-            "err_mean_w",
-            "err_max_w",
-        ):
-            if field in summary:
-                value = summary[field]
-                rendered = f"{value:.4f}" if isinstance(value, float) else str(value)
-                print(f"  {field:<18} {rendered}")
     if counts:
         print("  events by type:")
         for name in sorted(counts):
@@ -125,11 +85,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
     for name in args.files:
         path = Path(name)
         if path.is_dir():
-            # A telemetry dir or a trace-store root: summarize every
-            # session stream (including sharded .events.jsonl sidecars)
-            # and snapshot discovered beneath it, in sorted order.
+            # A telemetry dir: summarize its ops stream and snapshot.
             found = discover([path])
-            targets = found["sessions"] + found["ops"] + found["metrics"]
+            targets = found["ops"] + found["metrics"]
             if not targets:
                 print(f"error: no telemetry artifacts under {path}", file=sys.stderr)
                 status = 2
@@ -146,49 +104,6 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
             else:
                 _summarize_jsonl(target)
     return status
-
-
-# --------------------------------------------------------------------------
-# diff
-# --------------------------------------------------------------------------
-
-
-def _event_counts(lines: list) -> dict:
-    counts: dict = {}
-    for line in lines:
-        name = str(_parse(line).get("ev", "?"))
-        counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
-def _cmd_diff(args: argparse.Namespace) -> int:
-    path_a, path_b = Path(args.a), Path(args.b)
-    events_a = _strip_manifest(_read_lines(path_a))
-    events_b = _strip_manifest(_read_lines(path_b))
-    if events_a == events_b:
-        print(f"identical: {len(events_a)} event lines (manifest headers stripped)")
-        return 0
-    print(f"different: {path_a} has {len(events_a)} event lines, "
-          f"{path_b} has {len(events_b)}")
-    for index, (line_a, line_b) in enumerate(zip(events_a, events_b)):
-        if line_a != line_b:
-            print(f"first divergence at event line {index}:")
-            print(f"  a: {line_a}")
-            print(f"  b: {line_b}")
-            break
-    else:
-        index = min(len(events_a), len(events_b))
-        longer, extra = (
-            (path_a, events_a) if len(events_a) > len(events_b) else (path_b, events_b)
-        )
-        print(f"streams agree up to line {index}; {longer} continues with:")
-        print(f"  {extra[index]}")
-    counts_a, counts_b = _event_counts(events_a), _event_counts(events_b)
-    for name in sorted(set(counts_a) | set(counts_b)):
-        na, nb = counts_a.get(name, 0), counts_b.get(name, 0)
-        marker = "" if na == nb else "  <-- differs"
-        print(f"  {name:<24} {na:>8} {nb:>8}{marker}")
-    return 1
 
 
 # --------------------------------------------------------------------------
@@ -236,8 +151,7 @@ def _cmd_aggregate(args: argparse.Namespace) -> int:
         Path(args.out).write_text(rendered, encoding="utf-8")
         sources = rollup["sources"]
         print(
-            f"rollup: {sources['sessions']} sessions, "
-            f"{sources['metrics_snapshots']} snapshots, "
+            f"rollup: {sources['metrics_snapshots']} snapshots, "
             f"{sources['profiles']} profiles -> {args.out}"
         )
     else:
@@ -280,7 +194,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def main(argv: "list | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Summarize, diff and budget-check telemetry streams.",
+        description="Summarize, aggregate and budget-check telemetry.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -289,8 +203,7 @@ def main(argv: "list | None" = None) -> int:
     )
     summarize.add_argument(
         "files", nargs="+",
-        help="session/ops .jsonl files, a metrics.json snapshot, a "
-             "telemetry dir, or a trace-store root",
+        help="ops.jsonl files, metrics.json snapshots, or telemetry dirs",
     )
     summarize.set_defaults(fn=_cmd_summarize)
 
@@ -312,13 +225,6 @@ def main(argv: "list | None" = None) -> int:
         help="profile.jsonl files or directories containing them",
     )
     span_profile.set_defaults(fn=_cmd_profile)
-
-    diff = commands.add_parser(
-        "diff", help="compare two event streams (manifest headers stripped)"
-    )
-    diff.add_argument("a")
-    diff.add_argument("b")
-    diff.set_defaults(fn=_cmd_diff)
 
     overhead = commands.add_parser(
         "overhead", help="gate a telemetry-on bench report against a budget"

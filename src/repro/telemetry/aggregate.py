@@ -1,18 +1,13 @@
-"""Cross-run aggregation: fold per-session telemetry into one fleet rollup.
+"""Cross-run aggregation: fold telemetry artifacts into one fleet rollup.
 
-The recorder (PR 5) sees one session at a time: each run leaves
-``session-<digest>.jsonl`` streams, an ``ops.jsonl``, a ``metrics.json``
-snapshot, and — when profiling — a ``profile.jsonl`` span log.  The trace
-store additionally replicates session streams as ``.events.jsonl``
-sidecars next to the cached entries.  This module folds any number of
-those artifacts into a single **fleet rollup**
-(``maya.telemetry.rollup.v1``):
+Each recorded run leaves an ``ops.jsonl``, a ``metrics.json`` snapshot,
+and — when profiling — a ``profile.jsonl`` span log.  This module folds
+any number of those artifacts (and trace-store roots) into a single
+**fleet rollup** (``maya.telemetry.rollup.v2``):
 
-* per-interval tracking-error and target percentiles *across* sessions
-  (the fleet-level view of the paper's Fig. 8 balance argument);
 * merged metrics via :meth:`MetricsRegistry.merge` — exact counter
   addition and bucket-wise histogram merge, so the rollup's registry
-  equals what one registry observing every session would hold;
+  equals what one registry observing every run would hold;
 * cache hit/eviction rates and, for a trace-store root, per-shard entry
   occupancy;
 * the span self-time tree from profile logs (total/self wall-clock and
@@ -29,8 +24,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from . import MetricsRegistry
 
 __all__ = [
@@ -41,10 +34,7 @@ __all__ = [
     "span_tree",
 ]
 
-ROLLUP_SCHEMA = "maya.telemetry.rollup.v1"
-
-#: Percentiles rendered for the per-interval fleet series.
-_PERCENTILES = (50.0, 90.0)
+ROLLUP_SCHEMA = "maya.telemetry.rollup.v2"
 
 
 def _parse(line: str) -> dict:
@@ -58,13 +48,12 @@ def _parse(line: str) -> dict:
 def discover(paths) -> dict:
     """Classify telemetry artifacts under ``paths`` (files or directories).
 
-    A directory may be a telemetry dir (``session-*.jsonl``,
-    ``metrics.json``, ``ops.jsonl``, ``profile.jsonl``), a trace-store
-    root (``shards/<prefix>/*.events.jsonl`` sidecars), or both.  Returns
-    sorted, de-duplicated path lists keyed by artifact family — plus the
-    store roots themselves, so callers can compute shard occupancy.
+    A directory may be a telemetry dir (``metrics.json``, ``ops.jsonl``,
+    ``profile.jsonl``), a trace-store root (a ``shards/`` tree), or both.
+    Returns sorted, de-duplicated path lists keyed by artifact family —
+    plus the store roots themselves, so callers can compute shard
+    occupancy.
     """
-    sessions: list = []
     metrics: list = []
     profiles: list = []
     ops: list = []
@@ -76,10 +65,8 @@ def discover(paths) -> dict:
             metrics.append(path)
         elif name == "profile.jsonl":
             profiles.append(path)
-        elif name == "ops.jsonl":
-            ops.append(path)
         else:
-            sessions.append(path)
+            ops.append(path)
 
     for raw in paths:
         path = Path(raw)
@@ -88,23 +75,17 @@ def discover(paths) -> dict:
             continue
         if not path.is_dir():
             raise FileNotFoundError(f"no such telemetry path: {path}")
-        shards = path / "shards"
-        if shards.is_dir():
+        if (path / "shards").is_dir():
             stores.append(path)
-            for shard in sorted(shards.iterdir()):
-                if shard.is_dir():
-                    sessions.extend(sorted(shard.glob("*.events.jsonl")))
-        for found in sorted(path.glob("session-*.jsonl")):
-            sessions.append(found)
         for name in ("metrics.json", "ops.jsonl", "profile.jsonl"):
             found = path / name
             if found.is_file():
                 classify_file(found)
+
     def unique(items: list) -> list:
         return sorted(set(items), key=str)
 
     return {
-        "sessions": unique(sessions),
         "metrics": unique(metrics),
         "profiles": unique(profiles),
         "ops": unique(ops),
@@ -116,7 +97,7 @@ def merged_registry(metrics_paths) -> MetricsRegistry:
     """Fold ``metrics.json`` snapshots into one registry, in sorted order.
 
     Counters add exactly and histograms merge bucket-wise, so the result
-    equals the snapshot a single registry observing every session would
+    equals the snapshot a single registry observing every run would
     have rendered (tested).  Sorting makes the gauge fold deterministic.
     """
     registry = MetricsRegistry()
@@ -124,87 +105,6 @@ def merged_registry(metrics_paths) -> MetricsRegistry:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
         registry.merge(payload)
     return registry
-
-
-# --------------------------------------------------------------------------
-# session streams
-# --------------------------------------------------------------------------
-
-
-def _fold_sessions(session_paths) -> dict:
-    by_defense: dict = {}
-    by_engine: dict = {}
-    totals = {"count": 0, "intervals": 0, "saturation_steps": 0, "antiwindup_steps": 0}
-    err_sum_w = 0.0
-    err_n = 0
-    err_max_w = 0.0
-    abs_err_by_t: dict = {}
-    target_by_t: dict = {}
-    for path in sorted(session_paths, key=str):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        totals["count"] += 1
-        for line in lines:
-            payload = _parse(line)
-            kind = payload.get("type")
-            if kind == "manifest":
-                defense = str(payload.get("defense"))
-                engine = str(payload.get("engine"))
-                by_defense[defense] = by_defense.get(defense, 0) + 1
-                by_engine[engine] = by_engine.get(engine, 0) + 1
-            elif kind == "end":
-                totals["intervals"] += int(payload.get("intervals") or 0)
-                totals["saturation_steps"] += int(payload.get("saturation_steps") or 0)
-                totals["antiwindup_steps"] += int(payload.get("antiwindup_steps") or 0)
-            elif kind == "event" and payload.get("ev") == "interval":
-                t = int(payload.get("t") or 0)
-                if "err_w" in payload:
-                    abs_err = abs(float(payload["err_w"]))
-                    err_sum_w += abs_err
-                    err_n += 1
-                    err_max_w = max(err_max_w, abs_err)
-                    abs_err_by_t.setdefault(t, []).append(abs_err)
-                if "target_w" in payload:
-                    target_by_t.setdefault(t, []).append(float(payload["target_w"]))
-    summary = dict(totals)
-    summary["by_defense"] = dict(sorted(by_defense.items()))
-    summary["by_engine"] = dict(sorted(by_engine.items()))
-    if err_n:
-        summary["err_mean_w"] = err_sum_w / err_n
-        summary["err_max_w"] = err_max_w
-    return {
-        "summary": summary,
-        "intervals": {
-            "abs_err_w": _percentile_series(abs_err_by_t),
-            "target_w": _percentile_series(target_by_t),
-        },
-    }
-
-
-def _percentile_series(values_by_t: dict) -> dict:
-    """Per-interval fleet percentiles, rendered as dense sim-time series.
-
-    ``numpy.percentile`` sorts internally, so the series depend only on
-    the per-interval value *sets*, never on session fold order.
-    """
-    if not values_by_t:
-        return {"t_max": -1, "sessions_at_t0": 0}
-    t_max = max(values_by_t)
-    series: dict = {
-        "t_max": t_max,
-        "sessions_at_t0": len(values_by_t.get(0, ())),
-    }
-    for percentile in _PERCENTILES:
-        series[f"p{percentile:.0f}"] = [
-            float(np.percentile(np.asarray(values_by_t[t]), percentile))
-            if t in values_by_t
-            else None
-            for t in range(t_max + 1)
-        ]
-    series["max"] = [
-        float(np.max(np.asarray(values_by_t[t]))) if t in values_by_t else None
-        for t in range(t_max + 1)
-    ]
-    return series
 
 
 # --------------------------------------------------------------------------
@@ -326,7 +226,7 @@ def _store_occupancy(store_roots) -> dict:
 def fleet_rollup(paths) -> dict:
     """The fleet rollup of every telemetry artifact reachable from ``paths``.
 
-    Returns a ``maya.telemetry.rollup.v1`` document.  Deterministic: the
+    Returns a ``maya.telemetry.rollup.v2`` document.  Deterministic: the
     same input set produces the same rollup whatever the argument order.
     """
     found = discover(paths)
@@ -335,17 +235,13 @@ def fleet_rollup(paths) -> dict:
     counters = rendered["counters"]
     hits = counters.get("exec.cache.hits", 0)
     misses = counters.get("exec.cache.misses", 0)
-    folded = _fold_sessions(found["sessions"])
     rollup: dict = {
         "schema": ROLLUP_SCHEMA,
         "sources": {
-            "sessions": len(found["sessions"]),
             "metrics_snapshots": len(found["metrics"]),
             "profiles": len(found["profiles"]),
             "stores": len(found["stores"]),
         },
-        "sessions": folded["summary"],
-        "intervals": folded["intervals"],
         "cache": {
             "hits": hits,
             "misses": misses,

@@ -1,7 +1,7 @@
 """Hierarchical wall-clock span profiler for the execution engine.
 
-Telemetry (``repro.telemetry``) answers *what the simulation did* in
-deterministic sim time; this module answers *where the engine spent
+Telemetry (``repro.telemetry``) counts *what the engine did* in
+deterministic sequence order; this module answers *where the engine spent
 wall-clock time* doing it.  The two are kept rigorously apart:
 
 * **Strictly out-of-band.**  A profiler sink is injected (ambient module
@@ -18,10 +18,9 @@ wall-clock time* doing it.  The two are kept rigorously apart:
   digest, or similar), and a per-(parent, name, key) occurrence index —
   hashed to 16 hex chars.  Two profiled runs of the same job set
   therefore produce the same span ids and the same tree shape; only the
-  ``t0_s``/``dur_s`` wall-clock fields differ.  Profile output is
-  explicitly *excluded* from the byte-identity oracle
-  (``python -m repro.telemetry diff``): it never touches
-  ``session-*.jsonl``.
+  ``t0_s``/``dur_s`` wall-clock fields differ.  Profile output never
+  touches a :class:`~repro.machine.trace.Trace`, so the byte-identity
+  oracle (:meth:`Trace.equals`) is blind to it.
 * **Buffered, flushed on unwind.**  Completed spans buffer in memory and
   are appended to ``profile.jsonl`` (one JSON object per line, headed by
   a ``maya.telemetry.profile.v1`` manifest) each time the span stack

@@ -112,6 +112,28 @@ class TestDefenseFactory:
         with pytest.raises(KeyError):
             sys1_factory.create("maya_fourier")
 
+    @pytest.mark.parametrize(
+        "name, family",
+        [("maya_uniform", "uniform"), ("maya_gaussian", "gaussian"),
+         ("maya_sinusoid", "sinusoid")],
+    )
+    def test_every_mask_family_has_a_maya_design(self, sys1_factory, name, family):
+        defense = sys1_factory.create(name)
+        assert isinstance(defense, MayaDefense)
+        assert defense.name == name
+        assert defense.design.config.mask_family == family
+
+    @pytest.mark.parametrize(
+        "name", ["maya_gaussian_sinusoid", "maya_gs_", "gaussian", "maya"]
+    )
+    def test_only_reported_maya_names_accepted(self, sys1_factory, name):
+        with pytest.raises(KeyError) as raised:
+            sys1_factory.create(name)
+        message = str(raised.value)
+        for known in ("maya_gs", "maya_constant", "maya_uniform",
+                      "maya_gaussian", "maya_sinusoid"):
+            assert repr(known) in message
+
     def test_designs_cached(self, sys1_factory):
         a = sys1_factory.create("maya_gs")
         b = sys1_factory.create("maya_gs")

@@ -19,10 +19,9 @@ from repro.exec import (
     batch_key,
     execute_jobs_batched,
     resolve_backend,
-    resolve_batch_size,
     run_sessions,
 )
-from repro.exec.batch import DEFAULT_BATCH_SIZE
+from repro.exec import engine
 from repro.machine import SYS1, SYS2, SYS3
 
 
@@ -66,25 +65,6 @@ class TestResolveBackend:
         monkeypatch.setenv("REPRO_BACKEND", "quantum")
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend()
-
-
-class TestResolveBatchSize:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "64")
-        assert resolve_batch_size(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "7")
-        assert resolve_batch_size() == 7
-
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_SIZE", raising=False)
-        assert resolve_batch_size() == DEFAULT_BATCH_SIZE
-
-    def test_garbage_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_SIZE", "lots")
-        with pytest.raises(ValueError):
-            resolve_batch_size()
 
 
 class TestBatchKey:
@@ -139,16 +119,15 @@ class TestBitIdentity:
             assert trace.equals(job.execute(factory=sys1_factory))
 
     @pytest.mark.parametrize("batch_size", [1, 3, 8])
-    def test_batch_size_never_changes_results(self, batch_size):
+    def test_batch_size_never_changes_results(self, batch_size, monkeypatch):
+        monkeypatch.setattr(engine, "BATCH_SIZE", batch_size)
         jobs = [
             make_job(workload=workload, seed=9, run=run)
             for run in range(3)
             for workload in ("volrend", "water_nsquared")
         ]
         serial = run_sessions(jobs, cache=False, backend="serial")
-        batched = run_sessions(
-            jobs, cache=False, backend="batch", batch_size=batch_size
-        )
+        batched = run_sessions(jobs, cache=False, backend="batch")
         for a, b in zip(serial, batched):
             assert a.equals(b)
 

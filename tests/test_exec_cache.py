@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.exec import SessionJob, TraceCache, default_cache
 from repro.exec.__main__ import main as cache_cli
 from repro.machine import SYS1
@@ -19,7 +21,7 @@ def tiny_job(run=0, duration_s=0.5):
 
 
 def shard_files(root, pattern="*.npz"):
-    """Entry/sidecar files under the shard tree (sorted for stability)."""
+    """Files under the shard tree (sorted for stability)."""
     return sorted((root / "shards").rglob(pattern))
 
 
@@ -123,6 +125,20 @@ class TestMaintenance:
         cache = default_cache()
         assert cache is not None and cache.root == tmp_path
 
+    def test_max_mb_env_sets_the_bound(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", "1.5")
+        assert TraceCache(root=tmp_path).max_bytes == 1_500_000
+        monkeypatch.delenv("REPRO_CACHE_MAX_MB")
+        assert TraceCache(root=tmp_path).max_bytes == 512_000_000
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-inf", "0", "-5"])
+    def test_max_mb_env_rejects_non_positive_or_non_finite(
+        self, monkeypatch, tmp_path, value
+    ):
+        monkeypatch.setenv("REPRO_CACHE_MAX_MB", value)
+        with pytest.raises(ValueError, match="REPRO_CACHE_MAX_MB"):
+            TraceCache(root=tmp_path)
+
 
 class TestAccounting:
     def test_running_totals_match_directory_scan(self, tmp_path):
@@ -176,64 +192,20 @@ class TestAccounting:
         finally:
             telemetry.set_recorder(None)
 
-    def test_clear_removes_telemetry_sidecars(self, tmp_path):
-        from repro import telemetry
-        from repro.telemetry import TelemetryRecorder
-
-        telemetry.set_recorder(TelemetryRecorder(root=tmp_path / "telemetry"))
-        try:
-            cache = TraceCache(root=tmp_path / "cache")
-            job = tiny_job()
-            job_trace = job.execute()
-            cache.put(job, job_trace)
-            assert shard_files(tmp_path / "cache", "*.events.jsonl")
-            cache.clear()
-            assert not shard_files(tmp_path / "cache", "*.events.jsonl")
-        finally:
-            telemetry.set_recorder(None)
-
-    def test_evict_removes_telemetry_sidecars(self, tmp_path):
-        # Regression: _evict() must delete <key>.events.jsonl with the entry.
+    def test_clear_and_recovery_handle_stray_shard_files(self, tmp_path):
+        # A shard may hold files that are not entries (older stores kept
+        # per-session telemetry next to each entry): recovery accounts
+        # only the entries, and clear() removes every file in the shard.
         cache = TraceCache(root=tmp_path)
-        jobs = [tiny_job(run=i) for i in range(3)]
-        for job in jobs:
-            cache.put(job, job.execute())
-        victim_sidecar = cache._key_sidecar(jobs[0].key())
-        victim_sidecar.write_text('{"type": "manifest"}\n')
-        entry_size = cache._path(jobs[0]).stat().st_size
-        cache.max_bytes = int(entry_size * 1.5)
-        cache.put(jobs[1], jobs[1].execute())  # trigger eviction of jobs[0]
-        assert cache.evictions >= 1
-        assert not cache._path(jobs[0]).exists()
-        assert not victim_sidecar.exists()
-
-    def test_sidecar_bytes_are_accounted(self, tmp_path):
-        from repro import telemetry
-        from repro.telemetry import NullRecorder, TelemetryRecorder
-
         job = tiny_job()
-        # The bare leg runs with recording explicitly off, so an ambient
-        # REPRO_TELEMETRY=1 cannot give it a sidecar of its own.
-        previous = telemetry.get_recorder()
-        telemetry.set_recorder(NullRecorder())
-        try:
-            bare = TraceCache(root=tmp_path / "bare")
-            bare.put(job, job.execute())
-        finally:
-            telemetry.set_recorder(previous)
-        npz_only = bare.stats()["total_bytes"]
-
-        telemetry.set_recorder(TelemetryRecorder(root=tmp_path / "telemetry"))
-        try:
-            with_sidecars = TraceCache(root=tmp_path / "sidecars")
-            # Execute under the recorder so a session stream exists to copy.
-            with_sidecars.put(job, job.execute())
-        finally:
-            telemetry.set_recorder(None)
-        accounted = with_sidecars.stats()["total_bytes"]
-        sidecar = shard_files(tmp_path / "sidecars", "*.events.jsonl")
-        assert len(sidecar) == 1 and sidecar[0].stat().st_size > 0
-        assert accounted >= npz_only + sidecar[0].stat().st_size
+        cache.put(job, job.execute())
+        stray = cache._path(job).with_suffix(".stray")
+        stray.write_text('{"type": "manifest"}\n')
+        cache.journal_path.unlink()
+        recovered = TraceCache(root=tmp_path)
+        assert recovered.stats()["total_bytes"] == cache._path(job).stat().st_size
+        assert recovered.clear() == 1
+        assert not shard_files(tmp_path, "*")
 
 
 class TestPackedGroups:

@@ -16,7 +16,6 @@ from repro.machine import SYS1
 #: Every infrastructure variable the sweep perturbs (and must clear).
 INFRA_VARS = (
     "REPRO_BACKEND",
-    "REPRO_BATCH_SIZE",
     "REPRO_TELEMETRY",
 )
 
@@ -24,7 +23,6 @@ INFRA_VARS = (
 SWEEP = (
     {"REPRO_BACKEND": "serial"},
     {"REPRO_BACKEND": "batch"},
-    {"REPRO_BACKEND": "batch", "REPRO_BATCH_SIZE": "2"},
     {"REPRO_TELEMETRY": "1"},
 )
 

@@ -405,7 +405,7 @@ class TestTelemetryIsolation:
         __all__ = []
         def step(error):
             telemetry.count("control.steps")
-            telemetry.session_event("clip", entries=3)
+            telemetry.gauge("control.clip_entries", 3)
         """
         assert rule_ids(src, path=self.SIM_PATH) == []
 
@@ -451,10 +451,10 @@ class TestTelemetryIsolation:
 
     def test_directly_imported_symbol_call_statement_is_clean(self):
         src = """\
-        from repro.telemetry import session_event
+        from repro.telemetry import count
         __all__ = []
         def clip():
-            session_event("fixedpoint.clip", entries=1)
+            count("control.fixedpoint.clip_events")
         """
         assert rule_ids(src, path=self.SIM_PATH) == []
 

@@ -7,7 +7,6 @@ import pytest
 
 from repro import telemetry
 from repro.telemetry import (
-    ERR_HIST_EDGES_W,
     Histogram,
     MetricsRegistry,
     NullRecorder,
@@ -84,75 +83,8 @@ class TestAmbientRecorder:
         telemetry.gauge("y", 1.0)
         telemetry.observe("z", 1.0, edges=(1.0,))
         telemetry.ops("nothing")
-        telemetry.session_begin(
-            platform="SYS1", workload="w", defense="d", seed=0, run_id=0,
-            interval_s=0.02, duration_s=1.0, tick_s=0.001,
-            max_duration_s=600.0, tail_s=2.0, record_temperature=False,
-        )
-        assert telemetry.session_active() is False
-        telemetry.session_event("anything")
-        telemetry.session_end()
+        telemetry.write_metrics()
         assert list(tmp_path.iterdir()) == []
-
-
-class TestSessionChannel:
-    def _identity(self):
-        return dict(
-            platform="SYS1", workload="volrend", defense="maya_gs", seed=3,
-            run_id=0, interval_s=0.02, duration_s=1.0, tick_s=0.001,
-            max_duration_s=600.0, tail_s=2.0, record_temperature=False,
-        )
-
-    def test_session_file_layout(self, recorder):
-        class FakeSettings:
-            freq_ghz, idle_frac, balloon_level = 2.0, 0.1, 0.3
-
-        class FakeDefense:
-            def diagnostics(self):
-                return {"sat_hi": 1, "sat_lo": 0, "aw": 1}
-
-        channel = recorder.session(engine="test", **self._identity())
-        channel.interval(0, 30.0, 28.0, FakeSettings(), FakeDefense())
-        channel.interval(1, float("nan"), 29.0, FakeSettings(), FakeDefense())
-        channel.event("fixedpoint.clip", entries=2)
-        path = channel.close()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [line["type"] for line in lines] == [
-            "manifest", "event", "event", "event", "end",
-        ]
-        manifest, first, second, clip, end = lines
-        assert manifest["schema"] == telemetry.MANIFEST_SCHEMA
-        assert manifest["identity"] == channel.digest
-        assert manifest["engine"] == "test"
-        assert first["t"] == 0 and first["err_w"] == 2.0
-        # NaN targets (no mask yet) omit target/err fields entirely.
-        assert "target_w" not in second and "err_w" not in second
-        assert first["sat_hi"] == 1 and first["aw"] == 1
-        assert clip["ev"] == "fixedpoint.clip" and clip["entries"] == 2
-        assert end["intervals"] == 2
-        assert end["saturation_steps"] == 2 and end["antiwindup_steps"] == 2
-        assert end["err_mean_w"] == 2.0 and end["err_max_w"] == 2.0
-
-    def test_err_histogram_observed(self, recorder):
-        class FakeSettings:
-            freq_ghz, idle_frac, balloon_level = 2.0, 0.0, 0.0
-
-        class FakeDefense:
-            def diagnostics(self):
-                return None
-
-        channel = recorder.session(**self._identity())
-        channel.interval(0, 30.0, 27.0, FakeSettings(), FakeDefense())
-        channel.close()
-        rendered = recorder.metrics.render()["histograms"]["session.abs_err_w"]
-        assert rendered["edges"] == list(ERR_HIST_EDGES_W)
-        assert sum(rendered["counts"]) == 1
-
-    def test_session_digest_excludes_backend_but_not_seed(self):
-        base = self._identity()
-        assert telemetry.session_digest(**base) == telemetry.session_digest(**base)
-        perturbed = dict(base, seed=4)
-        assert telemetry.session_digest(**base) != telemetry.session_digest(**perturbed)
 
 
 class TestOpsAndMetricsFiles:
@@ -172,25 +104,6 @@ class TestOpsAndMetricsFiles:
         payload = json.loads(path.read_text())
         assert payload["schema"] == telemetry.METRICS_SCHEMA
         assert payload["counters"]["exec.cache.hits"] == 2
-
-
-class TestManifestBinding:
-    def test_manifest_binds_job_key_and_code_salt(self, recorder, tmp_path):
-        from repro.exec import SessionJob
-        from repro.exec.jobs import code_salt
-        from repro.machine import SYS1
-
-        job = SessionJob(
-            spec=SYS1, workload="volrend", defense="baseline",
-            seed=5, run_id=0, duration_s=0.1,
-        )
-        job.execute()
-        path = recorder.session_path(telemetry.job_identity(job))
-        manifest = json.loads(path.read_text().splitlines()[0])
-        assert manifest["job_key"] == job.key()
-        assert manifest["code_salt"] == code_salt()
-        assert manifest["platform"] == SYS1.name
-        assert manifest["seed"] == 5
 
 
 class TestControllerDiagnostics:
@@ -215,43 +128,22 @@ class TestControllerDiagnostics:
 
 
 class TestCli:
-    def _write_session(self, recorder, seed=3, measured_w=28.0):
-        class FakeSettings:
-            freq_ghz, idle_frac, balloon_level = 2.0, 0.0, 0.0
-
-        class FakeDefense:
-            def diagnostics(self):
-                return None
-
-        channel = recorder.session(
-            platform="SYS1", workload="volrend", defense="maya_gs", seed=seed,
-            run_id=0, interval_s=0.02, duration_s=1.0, tick_s=0.001,
-            max_duration_s=600.0, tail_s=2.0, record_temperature=False,
-        )
-        channel.interval(0, 30.0, measured_w, FakeSettings(), FakeDefense())
-        return channel.close()
-
-    def test_summarize_session_and_metrics(self, recorder, capsys):
-        path = self._write_session(recorder)
+    def test_summarize_ops_and_metrics(self, recorder, capsys):
+        recorder.ops("run.begin", jobs=2)
+        recorder.ops("job.cached", index=0)
+        recorder.ops("job.cached", index=1)
+        telemetry.observe("exec.batch.group_size", 2, telemetry.GROUP_SIZE_HIST_EDGES)
         metrics = recorder.write_metrics()
-        assert telemetry_cli(["summarize", str(path), str(metrics)]) == 0
+        ops = recorder.root / "ops.jsonl"
+        assert telemetry_cli(["summarize", str(ops), str(metrics)]) == 0
         out = capsys.readouterr().out
-        assert "workload=volrend" in out
-        assert "intervals" in out
-        assert "session.abs_err_w" in out
+        assert "job.cached" in out and " 2" in out
+        assert "exec.batch.group_size" in out
+        assert telemetry_cli(["summarize", str(recorder.root)]) == 0
+        assert capsys.readouterr().out.count("== ") == 2
 
     def test_summarize_missing_file_is_error(self, capsys):
         assert telemetry_cli(["summarize", "no/such/file.jsonl"]) == 2
-
-    def test_diff_identical_and_divergent(self, recorder, capsys):
-        a = self._write_session(recorder, seed=3)
-        b = self._write_session(recorder, seed=4, measured_w=25.0)
-        same = recorder.root / "copy.jsonl"
-        same.write_bytes(a.read_bytes())
-        assert telemetry_cli(["diff", str(a), str(same)]) == 0
-        assert "identical" in capsys.readouterr().out
-        assert telemetry_cli(["diff", str(a), str(b)]) == 1
-        assert "divergence" in capsys.readouterr().out
 
     def test_overhead_budget_gate(self, tmp_path, capsys):
         off = tmp_path / "off.json"

@@ -33,20 +33,11 @@ def sample_registry(counter=3, values=(0.5, 3.0)):
     return registry
 
 
-def write_session(path, defense="baseline", engine="batch", errs=(1.0, 2.0)):
-    lines = [
-        {"type": "manifest", "defense": defense, "engine": engine},
-    ]
-    for t, err in enumerate(errs):
-        lines.append({
-            "type": "event", "ev": "interval", "t": t,
-            "err_w": err, "target_w": 30.0 + err,
-        })
-    lines.append({
-        "type": "end", "intervals": len(errs),
-        "saturation_steps": 1, "antiwindup_steps": 0,
-    })
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+def write_ops(path, events=("run.begin", "job.cached", "run.end")):
+    path.write_text("".join(
+        json.dumps({"type": "ops", "seq": seq, "ev": name}) + "\n"
+        for seq, name in enumerate(events)
+    ))
 
 
 def write_profile(path):
@@ -116,18 +107,15 @@ class TestDiscover:
     def test_classifies_telemetry_dir_and_store(self, tmp_path):
         tdir = tmp_path / "telemetry"
         tdir.mkdir()
-        write_session(tdir / "session-abc.jsonl")
         (tdir / "metrics.json").write_text(json.dumps(sample_registry().render()))
-        (tdir / "ops.jsonl").write_text("{}\n")
+        write_ops(tdir / "ops.jsonl")
         write_profile(tdir / "profile.jsonl")
         shard = tmp_path / "store" / "shards" / "ab"
         shard.mkdir(parents=True)
         (shard / "abcd.npz").write_bytes(b"x")
-        write_session(shard / "abcd.events.jsonl", engine="serial")
 
         found = discover([tdir, tmp_path / "store"])
-        assert [p.name for p in found["sessions"]] == \
-            ["abcd.events.jsonl", "session-abc.jsonl"]
+        assert set(found) == {"metrics", "profiles", "ops", "stores"}
         assert [p.name for p in found["metrics"]] == ["metrics.json"]
         assert [p.name for p in found["profiles"]] == ["profile.jsonl"]
         assert [p.name for p in found["ops"]] == ["ops.jsonl"]
@@ -153,24 +141,20 @@ class TestFleetRollup:
     def build_fleet(self, tmp_path):
         tdir = tmp_path / "telemetry"
         tdir.mkdir()
-        write_session(tdir / "session-a.jsonl", errs=(1.0, 2.0, 3.0))
-        write_session(tdir / "session-b.jsonl", defense="maya", errs=(3.0, 4.0))
+        write_ops(tdir / "ops.jsonl")
         (tdir / "metrics.json").write_text(json.dumps(sample_registry().render()))
         write_profile(tdir / "profile.jsonl")
         return tdir
 
     def test_rollup_contents(self, tmp_path):
         rollup = fleet_rollup([self.build_fleet(tmp_path)])
-        assert rollup["schema"] == ROLLUP_SCHEMA
-        assert rollup["sessions"]["count"] == 2
-        assert rollup["sessions"]["by_defense"] == {"baseline": 1, "maya": 1}
-        assert rollup["sessions"]["intervals"] == 5
+        assert rollup["schema"] == ROLLUP_SCHEMA == "maya.telemetry.rollup.v2"
+        assert set(rollup) == {"schema", "sources", "cache", "metrics", "spans"}
+        assert rollup["sources"] == {
+            "metrics_snapshots": 1, "profiles": 1, "stores": 0,
+        }
         assert rollup["cache"]["hits"] == 3
         assert rollup["cache"]["hit_rate"] == pytest.approx(0.75)
-        series = rollup["intervals"]["abs_err_w"]
-        assert series["t_max"] == 2 and series["sessions_at_t0"] == 2
-        assert series["p50"][0] == pytest.approx(2.0)  # median of {1.0, 3.0}
-        assert series["max"][2] == pytest.approx(3.0)  # only session-a reaches t=2
         assert rollup["spans"]["roots"][0]["name"] == "run"
         assert rollup["spans"]["roots"][0]["coverage"] == pytest.approx(0.96)
 
@@ -261,32 +245,11 @@ class TestBenchHistory:
         assert report["rows"] == [] and report["regressions"] == []
 
 
-class TestSyntheticJobs:
-    def test_sidecar_helpers_skip_jobs_without_identity(self, tmp_path):
-        """The store micro-bench's synthetic jobs have a cache key but no
-        behavioural identity; telemetry-on runs must skip their sidecars
-        instead of crashing (regression)."""
-        from repro import telemetry as t
-        from repro.telemetry import TelemetryRecorder
-
-        class FakeJob:
-            def key(self):
-                return "f" * 40
-
-        t.set_recorder(TelemetryRecorder(root=tmp_path))
-        try:
-            assert t.store_session_events(tmp_path / "side.jsonl", FakeJob()) == 0
-            (tmp_path / "side.jsonl").write_text("{}\n")
-            assert t.restore_session_events(tmp_path / "side.jsonl", FakeJob()) == 0
-        finally:
-            t.set_recorder(None)
-
-
 class TestCli:
     def test_aggregate_profile_verbs(self, tmp_path, capsys):
         tdir = tmp_path / "telemetry"
         tdir.mkdir()
-        write_session(tdir / "session-a.jsonl")
+        write_ops(tdir / "ops.jsonl")
         (tdir / "metrics.json").write_text(json.dumps(sample_registry().render()))
         write_profile(tdir / "profile.jsonl")
 
@@ -300,11 +263,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert "run" in out and "chunk" in out
 
-    def test_summarize_accepts_store_roots(self, tmp_path, capsys):
-        shard = tmp_path / "store" / "shards" / "ab"
-        shard.mkdir(parents=True)
-        write_session(shard / "abcd.events.jsonl")
-        assert telemetry_cli(["summarize", str(tmp_path / "store")]) == 0
+    def test_summarize_accepts_telemetry_dirs(self, tmp_path, capsys):
+        tdir = tmp_path / "telemetry"
+        tdir.mkdir()
+        write_ops(tdir / "ops.jsonl")
+        (tdir / "metrics.json").write_text(json.dumps(sample_registry().render()))
+        assert telemetry_cli(["summarize", str(tdir)]) == 0
         out = capsys.readouterr().out
-        assert "abcd.events.jsonl" in out
-        assert "intervals" in out
+        assert "ops.jsonl" in out and "job.cached" in out
+        assert "exec.cache.hits" in out

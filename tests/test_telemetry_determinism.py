@@ -1,36 +1,19 @@
-"""Telemetry determinism: identical runs emit byte-identical event streams.
+"""Telemetry stays out-of-band: recording leaves traces untouched.
 
-The tentpole invariant of ``repro.telemetry``: because every session event
-is keyed on sim time (the control-interval index) and serialized through
-one canonical encoder, executing the same :class:`SessionJob`
-
-* serially vs. through the lock-step batch backend,
-* fresh vs. replayed from the trace cache,
-* in-process vs. in a worker process,
-
-produces byte-identical ``session-<digest>.jsonl`` files once the manifest
-header (which records *how* the run was executed) is stripped.  A
-perturbed seed must break the identity — otherwise the oracle is vacuous.
+The per-interval record of a session is its :class:`~repro.machine.Trace`
+(measured power, mask target, actuator settings), and ``Trace.equals`` is
+the byte-identity oracle across serial, lock-step and trace-store runs.
+Telemetry recording adds only the engine's ``ops.jsonl`` stream and the
+``metrics.json`` snapshot: whichever way the same :class:`SessionJob` is
+executed, a recorded run returns the traces an unrecorded run returns and
+leaves no other file behind, in the telemetry directory or in the store.
 """
-
-import json
-
-import pytest
 
 from repro import telemetry
 from repro.exec import SessionJob, TraceCache, run_sessions
 from repro.telemetry import TelemetryRecorder
-from repro.telemetry.__main__ import main as telemetry_cli
 
 DURATION_S = 1.0
-
-
-@pytest.fixture()
-def recorder_root(tmp_path):
-    root = tmp_path / "telemetry"
-    telemetry.set_recorder(TelemetryRecorder(root=root))
-    yield root
-    telemetry.set_recorder(None)
 
 
 def _jobs(sys1_factory, seeds=(11, 12)):
@@ -47,88 +30,39 @@ def _jobs(sys1_factory, seeds=(11, 12)):
     ]
 
 
-def _collect_sessions(root):
-    """Map session digest -> file bytes, then clear the directory."""
-    streams = {}
-    for path in sorted(root.glob("session-*.jsonl")):
-        streams[path.name] = path.read_bytes()
-        path.unlink()
-    return streams
+def _run_recorded(root, jobs, factory, **kwargs):
+    telemetry.set_recorder(TelemetryRecorder(root=root))
+    try:
+        return run_sessions(jobs, factory=factory, **kwargs)
+    finally:
+        telemetry.set_recorder(None)
 
 
-def _strip_manifest(data: bytes) -> list:
-    lines = data.decode("utf-8").splitlines()
-    return [
-        line for line in lines if json.loads(line).get("type") != "manifest"
-    ]
-
-
-def test_serial_and_batch_streams_are_byte_identical(sys1_factory, recorder_root):
+def test_recorded_runs_write_only_ops_and_metrics(sys1_factory, tmp_path):
     jobs = _jobs(sys1_factory)
-    run_sessions(jobs, factory=sys1_factory, backend="serial", cache=False)
-    serial = _collect_sessions(recorder_root)
-    run_sessions(jobs, factory=sys1_factory, backend="batch", cache=False)
-    batched = _collect_sessions(recorder_root)
+    reference = run_sessions(jobs, factory=sys1_factory, backend="serial", cache=False)
+    store = TraceCache(root=tmp_path / "store")
+    runs = {
+        "serial": dict(backend="serial", cache=False),
+        "lockstep": dict(backend="batch", cache=store),
+        "warm-store": dict(backend="batch", cache=store),
+    }
+    for label, kwargs in runs.items():
+        root = tmp_path / label
+        traces = _run_recorded(root, jobs, sys1_factory, **kwargs)
+        assert all(got.equals(want) for got, want in zip(traces, reference)), label
+        assert sorted(path.name for path in root.iterdir()) == [
+            "metrics.json",
+            "ops.jsonl",
+        ], label
 
-    # Same identity digests: the file names must line up one-to-one.
-    assert set(serial) == set(batched) and len(serial) == len(jobs)
-    for name in serial:
-        assert _strip_manifest(serial[name]) == _strip_manifest(batched[name])
-        # The manifests differ only in the engine that produced the run.
-        manifest_serial = json.loads(serial[name].split(b"\n", 1)[0])
-        manifest_batch = json.loads(batched[name].split(b"\n", 1)[0])
-        assert manifest_serial.pop("engine") == "run_session"
-        assert manifest_batch.pop("engine") == "lockstep"
-        assert manifest_serial == manifest_batch
-
-
-def test_backend_identity_via_cli_diff(sys1_factory, recorder_root, tmp_path, capsys):
-    """Acceptance: serial/batch event streams verified identical by
-    ``python -m repro.telemetry diff``."""
-    jobs = _jobs(sys1_factory, seeds=(11,))
-    copies = {}
-    for backend in ("serial", "batch"):
-        run_sessions(jobs, factory=sys1_factory, backend=backend, cache=False)
-        (name, data), = _collect_sessions(recorder_root).items()
-        copy = tmp_path / f"{backend}-{name}"
-        copy.write_bytes(data)
-        copies[backend] = copy
-    assert telemetry_cli(["diff", str(copies["serial"]), str(copies["batch"])]) == 0
-    out = capsys.readouterr().out
-    assert out.count("identical") == 1
-
-
-def test_cache_replay_is_byte_identical_including_manifest(
-    sys1_factory, recorder_root, tmp_path
-):
-    cache = TraceCache(root=tmp_path / "cache")
-    jobs = _jobs(sys1_factory, seeds=(11,))
-    run_sessions(jobs, factory=sys1_factory, backend="serial", cache=cache)
-    fresh = _collect_sessions(recorder_root)
-    run_sessions(jobs, factory=sys1_factory, backend="serial", cache=cache)
-    replayed = _collect_sessions(recorder_root)
-    assert cache.hits == 1
-    # The sidecar replays the original bytes: even the manifest (recording
-    # the *original* execution's engine and git SHA) is preserved.
-    assert fresh == replayed
-
-
-def test_perturbed_seed_changes_the_stream(sys1_factory, recorder_root):
-    run_sessions(
-        _jobs(sys1_factory, seeds=(11,)),
-        factory=sys1_factory, backend="serial", cache=False,
-    )
-    base = _collect_sessions(recorder_root)
-    run_sessions(
-        _jobs(sys1_factory, seeds=(13,)),
-        factory=sys1_factory, backend="serial", cache=False,
-    )
-    perturbed = _collect_sessions(recorder_root)
-    # Different seed -> different identity digest -> different file name...
-    assert set(base) != set(perturbed)
-    # ...and genuinely different measurements, not just a renamed file.
-    (base_data,), (perturbed_data,) = base.values(), perturbed.values()
-    assert _strip_manifest(base_data) != _strip_manifest(perturbed_data)
+    # The last run was served from the store the lock-step run filled.
+    assert store.hits == len(jobs)
+    assert "job.cached" in (tmp_path / "warm-store" / "ops.jsonl").read_text()
+    store_files = [path for path in store.root.rglob("*") if path.is_file()]
+    assert [path.name for path in store_files if path.suffix != ".npz"] == [
+        "journal.jsonl"
+    ]
 
 
 def test_null_recorder_leaves_no_files(sys1_factory, tmp_path, monkeypatch):

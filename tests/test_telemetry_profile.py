@@ -146,8 +146,8 @@ class TestEngineIntegration:
         assert run_node["coverage"] >= 0.95
 
     def test_profiler_never_perturbs_results(self, tmp_path):
-        """Traces and telemetry event streams are byte-identical with the
-        profiler on — wall-clock observation stays out-of-band."""
+        """Traces and telemetry metric snapshots are byte-identical with
+        the profiler on — wall-clock observation stays out-of-band."""
         jobs = profile_jobs()
 
         def collect(profiled, label):
@@ -160,14 +160,10 @@ class TestEngineIntegration:
             finally:
                 profile.set_profiler(None)
                 telemetry.set_recorder(None)
-            streams = {
-                path.name: path.read_bytes()
-                for path in sorted((root / "telemetry").glob("session-*.jsonl"))
-            }
-            return traces, streams
+            return traces, (root / "telemetry" / "metrics.json").read_bytes()
 
-        plain_traces, plain_streams = collect(False, "plain")
-        prof_traces, prof_streams = collect(True, "profiled")
+        plain_traces, plain_metrics = collect(False, "plain")
+        prof_traces, prof_metrics = collect(True, "profiled")
         assert all(a.equals(b) for a, b in zip(plain_traces, prof_traces))
-        assert plain_streams == prof_streams
+        assert plain_metrics == prof_metrics
         assert (tmp_path / "profiled" / "prof" / PROFILE_FILE).exists()
