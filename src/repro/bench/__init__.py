@@ -43,12 +43,11 @@ from ..defenses.designs import DefenseFactory
 from ..exec import TraceCache, choose_backend, record_run
 from ..machine import SYS1, Trace
 from ..telemetry import MetricsRegistry
-from ..telemetry import profile as _profile
 
 __all__ = ["DEFAULT_OUT", "SCHEMA", "bench_scenario", "run_bench", "store_bench"]
 
 DEFAULT_OUT = "BENCH_pipeline.json"
-SCHEMA = "maya.bench.pipeline.v7"
+SCHEMA = "maya.bench.pipeline.v8"
 
 #: Minimum batched-over-serial collection speedup ``--check`` demands.  The
 #: batch backend needs no extra cores — vectorizing the tick-level physics
@@ -60,13 +59,6 @@ BATCH_CHECK_MIN_SPEEDUP = 2.0
 #: sanity gate on the selection heuristic, not a performance target, so it
 #: sits exactly at parity.
 AUTO_CHECK_MIN_SPEEDUP = 1.0
-
-#: Profiler overhead gate (``--check``): the profiled serial leg must stay
-#: within the same 10% budget + absolute slack the CI telemetry overhead
-#: gate allows, so ``REPRO_PROFILE=1`` is safe to leave on in production
-#: runs.  The slack absorbs timer noise on short smoke legs.
-PROFILE_CHECK_BUDGET = 0.10
-PROFILE_CHECK_SLACK_S = 1.0
 
 #: Minimum packed-group-over-per-session read speedup ``--check`` demands
 #: in the store micro-bench.  A packed group entry skips per-file opens
@@ -317,24 +309,6 @@ def run_bench(
 
         store = _timed("store_bench_s", lambda: store_bench(bench_root))
 
-        # Profiled leg: the serial collection re-run with a span profiler
-        # injected (its own instance, rooted in the bench dir, independent
-        # of REPRO_PROFILE).  Two oracles: traces stay bit-identical with
-        # spans on, and the wall-clock overhead stays under the same
-        # budget+slack gate the telemetry overhead check uses.
-        previous_profiler = _profile.get_profiler()
-        _profile.set_profiler(_profile.SpanProfiler(root=bench_root / "profile"))
-        try:
-            profiled_runs = _timed(
-                "collect_profiled_s",
-                lambda: simulate_runs(
-                    scenario, factory, cache=False, backend="serial"
-                ),
-            )
-        finally:
-            _profile.set_profiler(previous_profiler)
-        profiled_matches = _traces_equal(serial_runs, profiled_runs)
-
     sampled = _timed("featurize_s", lambda: sample_runs(scenario, serial_runs))
     outcome = _timed("train_s", lambda: train_and_evaluate(scenario, sampled))
 
@@ -350,13 +324,6 @@ def run_bench(
         batched_outcome.average_accuracy == outcome.average_accuracy
         and (batched_outcome.result.matrix == outcome.result.matrix).all()
     )
-
-    profile_overhead_pct = (
-        timings["collect_profiled_s"] / max(timings["collect_serial_s"], 1e-9) - 1.0
-    ) * 100.0
-    # A gauge, not a timing: registered after the timings block is built so
-    # the overhead CLI keeps summing seconds only.
-    registry.gauge("bench.profile_overhead_pct", profile_overhead_pct)
 
     batched_speedup = timings["collect_serial_s"] / max(timings["collect_batched_s"], 1e-9)
     auto_speedup = timings["collect_serial_s"] / max(timings["collect_auto_s"], 1e-9)
@@ -380,8 +347,6 @@ def run_bench(
         "batched_outcome_matches_serial": outcome_matches,
         "auto_matches_serial": bool(auto_matches),
         "cached_matches_serial": bool(cached_matches),
-        "profiled_matches_serial": bool(profiled_matches),
-        "profile_overhead_pct": profile_overhead_pct,
         "attack_accuracy": outcome.average_accuracy,
     }
     out_path = Path(out_path)
@@ -420,8 +385,6 @@ def run_bench(
         raise AssertionError("auto-backend traces differ from serial traces")
     if not cached_matches:
         raise AssertionError("cached traces differ from serial traces")
-    if not profiled_matches:
-        raise AssertionError("profiled traces differ from serial traces")
     # Store invariants (also unconditional — correctness, not speed): every
     # session written must read back, and eviction must run from journaled
     # stats alone, never a full-tree rescan.
@@ -456,18 +419,5 @@ def run_bench(
                 f"packed-group replay {store['packed_read_speedup']:.2f}x "
                 f"vs per-session reads, below the "
                 f"{STORE_PACKED_MIN_SPEEDUP}x floor"
-            )
-        # Span profiling must stay cheap enough to leave on in CI: same
-        # 10% + slack budget the telemetry overhead gate uses.
-        profile_budget_s = (
-            timings["collect_serial_s"] * (1.0 + PROFILE_CHECK_BUDGET)
-            + PROFILE_CHECK_SLACK_S
-        )
-        if timings["collect_profiled_s"] > profile_budget_s:
-            raise AssertionError(
-                f"profiled collection took {timings['collect_profiled_s']:.2f}s, "
-                f"over the {profile_budget_s:.2f}s budget "
-                f"({PROFILE_CHECK_BUDGET:.0%} + {PROFILE_CHECK_SLACK_S:g}s slack "
-                f"over the {timings['collect_serial_s']:.2f}s serial baseline)"
             )
     return report

@@ -54,7 +54,6 @@ import math
 
 import numpy as np
 
-from ..telemetry import profile
 from ..defenses.base import decide_batch
 from ..defenses.designs import DefenseFactory
 from ..machine import (
@@ -219,8 +218,7 @@ def execute_jobs_batched(
     if None in keys or len(keys) != 1:
         raise ValueError("jobs of one batch must share a batch_key")
 
-    with profile.span("fleet.build", sessions=len(jobs)):
-        machines, defenses, sensors = build_fleet(jobs, factory)
+    machines, defenses, sensors = build_fleet(jobs, factory)
 
     template = jobs[0]
     return _run_lockstep(
@@ -263,15 +261,8 @@ def _run_lockstep(
 
     settings = [defense.initial_settings() for defense in defenses]
     for interval_index in range(interval_cap):
-        # Kernel spans cover the three vectorized hot paths: the power
-        # model (phase walk + row-wise AR(1) lfilter), the windowed RAPL
-        # reduction, and the batched control decision (mask draws + the
-        # fleet Equation-1 step).  The
-        # spans observe wall-clock only — they never feed back (MAYA033).
-        with profile.span("kernel.power", interval=interval_index):
-            window_w = batched_machine.advance(interval_s, settings)
-        with profile.span("kernel.measure", interval=interval_index):
-            measurements_w = batched_sensor.measure_windows(window_w, tick_s)
+        window_w = batched_machine.advance(interval_s, settings)
+        measurements_w = batched_sensor.measure_windows(window_w, tick_s)
 
         tick_start = interval_index * ticks_per_interval
         power_w[:, tick_start:tick_start + ticks_per_interval] = window_w
@@ -282,8 +273,7 @@ def _run_lockstep(
             for applied in settings
         ]
 
-        with profile.span("kernel.decide", interval=interval_index):
-            settings = decide_batch(defenses, measurements_w)
+        settings = decide_batch(defenses, measurements_w)
 
     return [
         Trace(

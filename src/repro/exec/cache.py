@@ -75,7 +75,6 @@ import numpy as np
 
 from .. import telemetry
 from ..machine import Trace
-from ..telemetry import profile
 
 __all__ = [
     "TraceCache",
@@ -211,8 +210,9 @@ class TraceCache:
 
         Only complete lines are consumed; a torn tail (a writer crashed or
         is mid-append) stays unconsumed until it gains its newline.
-        Malformed lines are skipped — one corrupt record costs its entry's
-        accounting, never the store.
+        Malformed lines are skipped — a line that is not a JSON object, or
+        whose fields do not parse, costs its entry's accounting, never the
+        store.
         """
         try:
             with open(self.journal_path, "rb") as stream:
@@ -222,14 +222,18 @@ class TraceCache:
         except OSError:
             return
         end = data.rfind(b"\n") + 1
-        with profile.span("cache.journal_replay", bytes=end):
-            for line in data[:end].splitlines():
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue
+        for line in data[:end].splitlines():
+            try:
+                record = json.loads(line)
+            except ValueError:
+                continue
+            if not isinstance(record, dict):
+                continue
+            try:
                 self._apply(record)
-                self._records_seen += 1
+            except (TypeError, ValueError, OverflowError):
+                continue
+            self._records_seen += 1
         self._journal_pos += end
         self._journal_ino = (stat.st_dev, stat.st_ino)
 
@@ -255,13 +259,21 @@ class TraceCache:
             self._replay()
 
     def _apply(self, record: dict) -> None:
+        """Fold one journal record into the in-memory state.
+
+        Every field is parsed before any state changes, so a record whose
+        fields do not parse raises (``TypeError``/``ValueError``/
+        ``OverflowError``) and leaves the state as it was.
+        """
         op = record.get("op")
         if op == "put":
             entry_id = record.get("id")
             if not isinstance(entry_id, str) or not entry_id:
                 return
-            keys = tuple(k for k in (record.get("keys") or ())
-                         if isinstance(k, str))
+            keys = record.get("keys") or []
+            if not isinstance(keys, list):
+                raise TypeError(f"journal put {entry_id}: keys is not a list")
+            keys = tuple(k for k in keys if isinstance(k, str))
             nbytes = int(record.get("bytes") or 0)
             old = self._entries.pop(entry_id, None)
             if old is not None:
@@ -338,14 +350,13 @@ class TraceCache:
                                  "bytes": nbytes, "keys": list(keys)}))
         data = ("\n".join(lines) + "\n").encode()
         tmp = self.journal_path.with_name(f".{_JOURNAL}.{os.getpid()}.tmp")
-        with profile.span("cache.compact", entries=len(self._entries)):
-            try:
-                tmp.write_bytes(data)
-                os.replace(tmp, self.journal_path)
-            except OSError:
-                return
-            finally:
-                tmp.unlink(missing_ok=True)
+        try:
+            tmp.write_bytes(data)
+            os.replace(tmp, self.journal_path)
+        except OSError:
+            return
+        finally:
+            tmp.unlink(missing_ok=True)
         self._compactions += 1
         telemetry.count("exec.cache.compactions")
         try:
@@ -440,11 +451,10 @@ class TraceCache:
         if _is_group(entry_id):
             pack = packs.get(entry_id)
             if pack is None:
-                with profile.span("cache.pack_read", key=entry_id):
-                    try:
-                        pack = _Pack(self._entry_path(entry_id))
-                    except (OSError, ValueError, KeyError):
-                        return None
+                try:
+                    pack = _Pack(self._entry_path(entry_id))
+                except (OSError, ValueError, KeyError):
+                    return None
                 packs[entry_id] = pack
             try:
                 return pack.trace_for(key)
@@ -510,8 +520,7 @@ class TraceCache:
         digest = hashlib.sha256("\x1f".join(keys).encode()).hexdigest()[:32]
         entry_id = f"g-{digest}"
         path = self._entry_path(entry_id)
-        with profile.span("cache.pack_write", key=entry_id, sessions=len(keys)):
-            self._atomic_npz(path, lambda tmp: _save_pack(tmp, keys, traces))
+        self._atomic_npz(path, lambda tmp: _save_pack(tmp, keys, traces))
         return {"op": "put", "id": entry_id, "bytes": _file_bytes(path),
                 "keys": keys}
 
@@ -540,13 +549,12 @@ class TraceCache:
             victims.append(entry_id)
             projected -= self._entries[entry_id][0]
         records = []
-        with profile.span("cache.evict", victims=len(victims)):
-            for entry_id in victims:
-                self._entry_path(entry_id).unlink(missing_ok=True)
-                records.append({"op": "evict", "id": entry_id})
-                self.evictions += 1
-                telemetry.count("exec.cache.evictions")
-            self._commit(records)
+        for entry_id in victims:
+            self._entry_path(entry_id).unlink(missing_ok=True)
+            records.append({"op": "evict", "id": entry_id})
+            self.evictions += 1
+            telemetry.count("exec.cache.evictions")
+        self._commit(records)
 
     def stats(self) -> dict:
         self._refresh()

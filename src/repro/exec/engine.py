@@ -20,15 +20,12 @@ traces bit-identical to the serial path for every backend ``b``.
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 from .. import telemetry
-from ..telemetry import profile
 from ..defenses.designs import DefenseFactory
 from .batch import batch_key, execute_jobs_batched
-from .cache import TraceCache, default_cache
-from .jobs import SessionJob
+from .cache import default_cache
 
 __all__ = [
     "BACKENDS",
@@ -85,23 +82,6 @@ def choose_backend(jobs) -> str:
     return "serial"
 
 
-def _span_key(job: SessionJob):
-    """A job's content address as a span key — only computed when profiling.
-
-    ``SessionJob.key()`` hashes the job description; the guard keeps the
-    NullProfiler path at one attribute check per span site.
-    """
-    return job.key() if profile.enabled() else None
-
-
-def _chunk_span_key(chunk_jobs):
-    """Deterministic 16-hex digest over a chunk's job content addresses."""
-    if not profile.enabled():
-        return None
-    joined = "\x1f".join(job.key() for job in chunk_jobs)
-    return hashlib.sha256(joined.encode()).hexdigest()[:16]
-
-
 def run_sessions(
     jobs,
     cache: object = None,
@@ -135,36 +115,34 @@ def run_sessions(
         backend=backend,
         cached=cache is not None,
     )
-    with profile.span("run", key=_chunk_span_key(jobs), jobs=len(jobs), backend=backend):
-        # One bulk lookup for the whole run: a single journal refresh (and
-        # a single LRU-touch append) covers every job, and packed group
-        # entries are opened once per group rather than once per session.
-        if cache is not None:
-            with profile.span("cache.lookup", jobs=len(jobs)):
-                results = cache.get_many(jobs)
+    # One bulk lookup for the whole run: a single journal refresh (and a
+    # single LRU-touch append) covers every job, and packed group entries
+    # are opened once per group rather than once per session.
+    if cache is not None:
+        results = cache.get_many(jobs)
+    else:
+        results = [None] * len(jobs)
+    pending: list = []
+    for index, trace in enumerate(results):
+        if trace is None:
+            pending.append(index)
         else:
-            results = [None] * len(jobs)
-        pending: list = []
-        for index, trace in enumerate(results):
-            if trace is None:
-                pending.append(index)
-            else:
-                telemetry.ops("job.cached", index=index)
+            telemetry.ops("job.cached", index=index)
 
-        telemetry.count("exec.jobs.total", len(jobs))
-        telemetry.count("exec.jobs.executed", len(pending))
-        if pending:
-            if backend == "batch":
-                _execute_batched(jobs, pending, results, factory, cache)
-            else:
-                _execute_serial(jobs, pending, results, factory, cache)
-        telemetry.ops(
-            "run.end",
-            jobs=len(jobs),
-            executed=len(pending),
-            hits=len(jobs) - len(pending),
-        )
-        telemetry.write_metrics()
+    telemetry.count("exec.jobs.total", len(jobs))
+    telemetry.count("exec.jobs.executed", len(pending))
+    if pending:
+        if backend == "batch":
+            _execute_batched(jobs, pending, results, factory, cache)
+        else:
+            _execute_serial(jobs, pending, results, factory, cache)
+    telemetry.ops(
+        "run.end",
+        jobs=len(jobs),
+        executed=len(pending),
+        hits=len(jobs) - len(pending),
+    )
+    telemetry.write_metrics()
     return results
 
 
@@ -172,11 +150,9 @@ def _execute_serial(jobs, indices, results, factory, cache, **ops_fields):
     """Run the jobs at ``indices`` one at a time through the serial runner."""
     for index in indices:
         telemetry.ops("job.begin", index=index, **ops_fields)
-        with profile.span("job", key=_span_key(jobs[index]), index=index):
-            results[index] = jobs[index].execute(factory=factory)
-            if cache is not None:
-                with profile.span("cache.put"):
-                    cache.put(jobs[index], results[index])
+        results[index] = jobs[index].execute(factory=factory)
+        if cache is not None:
+            cache.put(jobs[index], results[index])
         telemetry.ops("job.end", index=index)
 
 
@@ -199,24 +175,18 @@ def _execute_batched(jobs, pending, results, factory, cache):
         else:
             groups.setdefault(key, []).append(index)
     for indices in groups.values():
-        group_jobs = [jobs[index] for index in indices]
-        with profile.span("group", key=_chunk_span_key(group_jobs), sessions=len(indices)):
-            for start in range(0, len(indices), BATCH_SIZE):
-                chunk = indices[start:start + BATCH_SIZE]
-                chunk_jobs = [jobs[index] for index in chunk]
-                telemetry.ops("batch.group", size=len(chunk), indices=list(chunk))
-                telemetry.observe(
-                    "exec.batch.group_size", len(chunk), telemetry.GROUP_SIZE_HIST_EDGES
-                )
-                with profile.span(
-                    "chunk", key=_chunk_span_key(chunk_jobs), sessions=len(chunk)
-                ):
-                    traces = execute_jobs_batched(chunk_jobs, factory=factory)
-                    for index, trace in zip(chunk, traces):
-                        results[index] = trace
-                    if cache is not None:
-                        # One bulk write per lock-step group: the store
-                        # packs the whole chunk into a single group entry.
-                        with profile.span("cache.put"):
-                            cache.put_many(chunk_jobs, traces)
+        for start in range(0, len(indices), BATCH_SIZE):
+            chunk = indices[start:start + BATCH_SIZE]
+            chunk_jobs = [jobs[index] for index in chunk]
+            telemetry.ops("batch.group", size=len(chunk), indices=list(chunk))
+            telemetry.observe(
+                "exec.batch.group_size", len(chunk), telemetry.GROUP_SIZE_HIST_EDGES
+            )
+            traces = execute_jobs_batched(chunk_jobs, factory=factory)
+            for index, trace in zip(chunk, traces):
+                results[index] = trace
+            if cache is not None:
+                # One bulk write per lock-step group: the store packs the
+                # whole chunk into a single group entry.
+                cache.put_many(chunk_jobs, traces)
     _execute_serial(jobs, ungroupable, results, factory, cache, fallback="serial")

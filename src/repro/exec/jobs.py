@@ -40,8 +40,7 @@ __all__ = [
 #: results).  Source-text changes are caught automatically by the salt.
 CACHE_EPOCH = 1
 
-#: Packages (or single modules) whose sources define what a simulated
-#: session computes.  The cache key is salted with their content digest, so
+#: Packages whose sources define what a simulated session computes.  The cache key is salted with their content digest, so
 #: editing any of them invalidates every cached trace.  ``exec`` is not
 #: salted: its backends are bit-identical by contract, so their code cannot
 #: change trace values.
@@ -53,19 +52,15 @@ _SIMULATION_PACKAGES = (
 def _digest_simulation_sources(root: Path, packages: tuple, epoch: int) -> str:
     """SHA-256 over the sources of ``packages`` under ``root``.
 
-    A salt entry naming a missing or Python-free directory is a silent
-    cache-soundness hole (the digest would simply skip it, so edits to the
-    real package would never invalidate cached traces) — raise instead.
+    Every entry names a package directory.  An entry naming a missing or
+    Python-free directory is a silent cache-soundness hole (the digest
+    would simply skip it, so edits to the real package would never
+    invalidate cached traces) — raise instead.
     """
     digest = hashlib.sha256()
     digest.update(f"epoch={epoch}".encode())
     for package in packages:
-        if (root / package).is_dir():
-            paths = sorted((root / package).rglob("*.py"))
-        elif (root / f"{package}.py").is_file():
-            paths = [root / f"{package}.py"]
-        else:
-            paths = []
+        paths = sorted((root / package).rglob("*.py"))
         if not paths:
             raise RuntimeError(
                 f"code_salt: salt entry '{package}' matches no Python "

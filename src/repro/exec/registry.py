@@ -136,7 +136,11 @@ class RunRegistry:
             raise KeyError(f"unknown run id {run_id!r}") from None
 
     def list_runs(self) -> list:
-        """Index rows ``{run_id, kind, name}``, oldest first, deduplicated."""
+        """Index rows ``{run_id, kind, name}``, oldest first, deduplicated.
+
+        A line that is not a JSON object, or whose ``run_id`` is not a
+        non-empty string, is skipped; the rows around it are kept.
+        """
         try:
             lines = self.index_path.read_text().splitlines()
         except OSError:
@@ -146,6 +150,8 @@ class RunRegistry:
             try:
                 row = json.loads(line)
             except ValueError:
+                continue
+            if not isinstance(row, dict):
                 continue
             run_id = row.get("run_id")
             if isinstance(run_id, str) and run_id:

@@ -800,8 +800,7 @@ class PurityEvaluator(Evaluator):
                     1
                     for entry in d.entries
                     if any(
-                        p.startswith(f"{root}/{entry}/") or p == f"{root}/{entry}.py"
-                        for p in all_paths
+                        p.startswith(f"{root}/{entry}/") for p in all_paths
                     )
                 )
                 if score > best_score:
@@ -832,7 +831,7 @@ class PurityEvaluator(Evaluator):
                 continue
             covering = None
             for entry in d.entries:
-                if path.startswith(f"{d.root}/{entry}/") or path == f"{d.root}/{entry}.py":
+                if path.startswith(f"{d.root}/{entry}/"):
                     covering = entry
                     break
             if covering is not None:

@@ -236,7 +236,6 @@ class WallClockRule(Rule):
         "repro/experiments/sec7e_controller_cost.py",
         "repro/bench/__init__.py",
         "repro/bench/__main__.py",
-        "repro/telemetry/profile.py",
     )
 
     banned_calls = frozenset(
@@ -634,96 +633,3 @@ class TelemetryIsolationRule(Rule):
                     "never hold or read back telemetry (out-of-band "
                     "invariant)",
                 )
-
-
-# --------------------------------------------------------------------------
-# MAYA033 — the span profiler may not appear in simulation code at all
-# --------------------------------------------------------------------------
-
-
-@register
-class ProfilerIsolationRule(Rule):
-    """Simulation code may not touch the span profiler — not even to call it.
-
-    MAYA032 lets simulation packages *call* ``repro.telemetry`` functions
-    fire-and-forget, because the recorder is keyed on deterministic sim
-    time.  The profiler (``repro.telemetry.profile``) is different: it
-    reads the wall clock, so any span opened inside the simulation would
-    interleave host-timing state with the hot loop and invite exactly the
-    feedback MAYA032 exists to prevent.  Spans belong to the engine layer
-    (``repro/exec/``) and the bench harness only; inside the simulation
-    packages every reference to the profiler module or its symbols — an
-    import, an attribute access, a call — is an error.
-    """
-
-    rule_id = "MAYA033"
-    severity = "error"
-    summary = "profiler symbol in simulation code"
-
-    scoped_path_fragments = TelemetryIsolationRule.scoped_path_fragments
-
-    #: Names exported by ``repro.telemetry.profile`` whose import into a
-    #: simulation module is banned outright.
-    profiler_symbols = frozenset(
-        {
-            "profile",
-            "SpanProfiler",
-            "NullProfiler",
-            "get_profiler",
-            "set_profiler",
-            "span",
-        }
-    )
-
-    def check(self, tree: ast.Module, ctx: LintContext) -> Iterator[RawFinding]:
-        if not any(fragment in ctx.path for fragment in self.scoped_path_fragments):
-            return
-        telemetry_names = set(TelemetryIsolationRule._telemetry_bindings(tree))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.endswith(".telemetry.profile") or (
-                        alias.name == "telemetry.profile"
-                    ):
-                        yield (
-                            node.lineno,
-                            node.col_offset,
-                            f"profiler module {alias.name!r} imported in "
-                            "simulation code; spans belong to the engine "
-                            "layer (MAYA033)",
-                        )
-            elif isinstance(node, ast.ImportFrom):
-                module = node.module or ""
-                from_telemetry = module == "telemetry" or module.endswith(".telemetry")
-                from_profile = module == "telemetry.profile" or module.endswith(
-                    ".telemetry.profile"
-                )
-                if from_profile:
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        "import from the profiler module in simulation "
-                        "code; spans belong to the engine layer (MAYA033)",
-                    )
-                elif from_telemetry:
-                    for alias in node.names:
-                        if alias.name in self.profiler_symbols:
-                            yield (
-                                node.lineno,
-                                node.col_offset,
-                                f"profiler symbol {alias.name!r} imported in "
-                                "simulation code; spans belong to the engine "
-                                "layer (MAYA033)",
-                            )
-            elif isinstance(node, ast.Attribute) and node.attr == "profile":
-                value = node.value
-                while isinstance(value, ast.Attribute):
-                    value = value.value
-                if isinstance(value, ast.Name) and value.id in telemetry_names:
-                    yield (
-                        node.lineno,
-                        node.col_offset,
-                        "profiler accessed through a telemetry binding in "
-                        "simulation code; spans belong to the engine layer "
-                        "(MAYA033)",
-                    )

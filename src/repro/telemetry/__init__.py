@@ -22,10 +22,13 @@ folds), without ever feeding back into the simulation:
   (bucket edges are static constants, so rendered output is
   reproducible).
 
-CLI: ``python -m repro.telemetry summarize|overhead|aggregate|profile``
-renders metric and ops tables, gates the recording overhead against a
-benchmark budget, folds runs into one rollup, and renders the span
-profiler's self-time tree.
+CLI: ``python -m repro.telemetry summarize|overhead`` renders metric and
+ops tables and gates the recording overhead against a benchmark budget.
+
+This package counts; it does not time.  For where wall-clock time goes,
+profile from the outside: ``expbench/run.py --trace 1`` splits each
+benchmark workload per layer, and ``python -m cProfile`` covers any
+figure (see the README's "Where did the time go?").
 """
 
 from __future__ import annotations
@@ -108,26 +111,6 @@ class Histogram:
             "sum": self.total,
         }
 
-    def merge(self, rendered: dict) -> None:
-        """Fold a rendered snapshot in: bucket-wise counts, exact totals.
-
-        Static edges make this lossless — both sides bucketed against the
-        same boundaries, so merged counts equal the counts a single
-        registry observing the union would have produced.  Mismatched
-        edges are a schema error, not a merge.
-        """
-        edges = tuple(float(e) for e in rendered.get("edges", ()))
-        if edges != self.edges:
-            raise ValueError(
-                f"histogram edge mismatch: {list(self.edges)} vs {list(edges)}"
-            )
-        counts = rendered.get("counts", [])
-        if len(counts) != len(self.counts):
-            raise ValueError("histogram bucket-count mismatch")
-        self.counts = [a + int(b) for a, b in zip(self.counts, counts)]
-        self.n += int(rendered.get("count", 0))
-        self.total += float(rendered.get("sum", 0.0))
-
 
 class MetricsRegistry:
     """Counters, gauges, and fixed-bucket histograms, rendered sorted."""
@@ -151,28 +134,6 @@ class MetricsRegistry:
 
     def counter_value(self, name: str) -> int:
         return self._counters.get(name, 0)
-
-    def merge(self, other: object) -> "MetricsRegistry":
-        """Fold another registry (or a rendered snapshot) into this one.
-
-        Counters add exactly (integer addition); histograms merge
-        bucket-wise via :meth:`Histogram.merge`; gauges are last-write-wins
-        (callers feed snapshots in sorted order, so the fold is
-        deterministic).  Returns ``self`` so folds chain.
-        """
-        payload = other.render() if isinstance(other, MetricsRegistry) else dict(other)
-        for name, value in (payload.get("counters") or {}).items():
-            self.count(name, int(value))
-        for name, value in (payload.get("gauges") or {}).items():
-            self._gauges[name] = float(value)
-        for name, rendered in (payload.get("histograms") or {}).items():
-            histogram = self._histograms.get(name)
-            if histogram is None:
-                histogram = self._histograms[name] = Histogram(
-                    tuple(rendered.get("edges", ()))
-                )
-            histogram.merge(rendered)
-        return self
 
     def render(self) -> dict:
         return {

@@ -6,15 +6,9 @@
 * ``overhead <off.json> <on.json>`` — compare two BENCH_pipeline.json
   reports and fail when the telemetry-on run regresses the summed phase
   timings beyond the budget (the CI overhead gate).
-* ``aggregate <path...>`` — fold telemetry dirs, trace-store roots, and
-  individual artifacts into one fleet rollup
-  (``maya.telemetry.rollup.v2``; see :mod:`repro.telemetry.aggregate`).
-* ``profile <path...>`` — render the span self-time tree from
-  ``profile.jsonl`` logs (total/self wall-clock, child coverage).
 
-``summarize`` and ``aggregate`` accept directories: a telemetry dir
-(``ops.jsonl`` + snapshots); ``aggregate`` also accepts a trace-store
-root, whose shard occupancy it reports.
+``summarize`` also accepts a telemetry dir and reads its ``ops.jsonl``
+and ``metrics.json``.
 """
 
 from __future__ import annotations
@@ -79,15 +73,16 @@ def _summarize_metrics(path: Path) -> None:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    from .aggregate import discover
-
     status = 0
     for name in args.files:
         path = Path(name)
         if path.is_dir():
             # A telemetry dir: summarize its ops stream and snapshot.
-            found = discover([path])
-            targets = found["ops"] + found["metrics"]
+            targets = [
+                path / artifact
+                for artifact in ("ops.jsonl", "metrics.json")
+                if (path / artifact).is_file()
+            ]
             if not targets:
                 print(f"error: no telemetry artifacts under {path}", file=sys.stderr)
                 status = 2
@@ -137,56 +132,6 @@ def _cmd_overhead(args: argparse.Namespace) -> int:
 
 
 # --------------------------------------------------------------------------
-# aggregate / profile
-# --------------------------------------------------------------------------
-
-
-def _cmd_aggregate(args: argparse.Namespace) -> int:
-    from .aggregate import fleet_rollup
-    from .export import to_json
-
-    rollup = fleet_rollup(args.paths)
-    rendered = to_json(rollup)
-    if args.out:
-        Path(args.out).write_text(rendered, encoding="utf-8")
-        sources = rollup["sources"]
-        print(
-            f"rollup: {sources['metrics_snapshots']} snapshots, "
-            f"{sources['profiles']} profiles -> {args.out}"
-        )
-    else:
-        print(rendered, end="")
-    return 0
-
-
-def _render_span_node(node: dict, indent: int) -> None:
-    coverage = node.get("coverage")
-    covered = f" cover={coverage:6.1%}" if coverage is not None else ""
-    print(
-        f"  {'':<{indent}}{node['name']:<{max(28 - indent, 1)}} "
-        f"n={node['count']:<7} total={node['total_s']:9.4f}s "
-        f"self={node['self_s']:9.4f}s{covered}"
-    )
-    for child in node.get("children", ()):
-        _render_span_node(child, indent + 2)
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from .aggregate import discover, span_tree
-
-    found = discover(args.paths)
-    if not found["profiles"]:
-        print("error: no profile.jsonl found", file=sys.stderr)
-        return 2
-    tree = span_tree(found["profiles"])
-    print(f"span tree: {len(found['profiles'])} profile log(s), "
-          f"wall {tree['wall_s']:.4f}s")
-    for root in tree["roots"]:
-        _render_span_node(root, 0)
-    return 0
-
-
-# --------------------------------------------------------------------------
 # entry point
 # --------------------------------------------------------------------------
 
@@ -194,7 +139,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def main(argv: "list | None" = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.telemetry",
-        description="Summarize, aggregate and budget-check telemetry.",
+        description="Summarize and budget-check telemetry.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -206,25 +151,6 @@ def main(argv: "list | None" = None) -> int:
         help="ops.jsonl files, metrics.json snapshots, or telemetry dirs",
     )
     summarize.set_defaults(fn=_cmd_summarize)
-
-    aggregate = commands.add_parser(
-        "aggregate", help="fold telemetry artifacts into one fleet rollup"
-    )
-    aggregate.add_argument(
-        "paths", nargs="+",
-        help="telemetry dirs, trace-store roots, or individual artifacts",
-    )
-    aggregate.add_argument("--out", help="write the rollup JSON here")
-    aggregate.set_defaults(fn=_cmd_aggregate)
-
-    span_profile = commands.add_parser(
-        "profile", help="render the span self-time tree from profile logs"
-    )
-    span_profile.add_argument(
-        "paths", nargs="+",
-        help="profile.jsonl files or directories containing them",
-    )
-    span_profile.set_defaults(fn=_cmd_profile)
 
     overhead = commands.add_parser(
         "overhead", help="gate a telemetry-on bench report against a budget"

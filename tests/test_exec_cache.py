@@ -319,6 +319,33 @@ class TestJournal:
         assert fresh.get(job).equals(trace)
         assert fresh.stats()["entries"] == 1
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "[1,2]",
+            "7",
+            '{"op":"put","id":"x","bytes":"abc"}',
+            '{"op":"layout","compactions":"z"}',
+            '{"op":"put","id":"y","keys":5}',
+        ],
+    )
+    def test_well_formed_record_of_the_wrong_shape_is_skipped(self, tmp_path, line):
+        cache = TraceCache(root=tmp_path)
+        jobs = [tiny_job(run=i) for i in range(2)]
+        traces = [job.execute() for job in jobs]
+        for job, trace in zip(jobs, traces):
+            cache.put(job, trace)
+        journal = tmp_path / "journal.jsonl"
+        records = journal.read_text().splitlines()
+        records.insert(len(records) - 1, line)  # between the two puts
+        journal.write_text("\n".join(records) + "\n")
+        fresh = TraceCache(root=tmp_path)
+        for job, trace in zip(jobs, traces):
+            assert fresh.get(job).equals(trace)
+        stats = fresh.stats()
+        assert stats["entries"] == 2
+        assert stats["total_bytes"] == cache.stats()["total_bytes"]
+
 
 class TestCli:
     def test_stats_command(self, tmp_path, capsys):

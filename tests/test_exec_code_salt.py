@@ -20,28 +20,16 @@ REPO_ROOT = PACKAGE_ROOT.parent.parent
 
 
 def copy_salted_tree(tmp_path):
-    """A private copy of the salted packages, safe to mutate.
-
-    Salt entries can name whole packages or single modules; mirror
-    whichever form each entry takes.
-    """
+    """A private copy of the salted packages, safe to mutate."""
     root = tmp_path / "repro"
     for package in _SIMULATION_PACKAGES:
-        if (PACKAGE_ROOT / package).is_dir():
-            shutil.copytree(PACKAGE_ROOT / package, root / package)
-        else:
-            source = PACKAGE_ROOT / f"{package}.py"
-            target = root / f"{package}.py"
-            target.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(source, target)
+        shutil.copytree(PACKAGE_ROOT / package, root / package)
     return root
 
 
 def salted_sources(root, package):
     """Every digested source file of one salt entry, sorted."""
-    if (root / package).is_dir():
-        return sorted((root / package).rglob("*.py"))
-    return [root / f"{package}.py"]
+    return sorted((root / package).rglob("*.py"))
 
 
 class TestDigestSensitivity:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.exec import (
     MANIFEST_SCHEMA,
     RunRegistry,
@@ -65,6 +67,15 @@ class TestRecord:
         rows = registry.list_runs()
         assert len(rows) == 2
         assert {row["kind"] for row in rows} == {"bench", "attack"}
+
+    @pytest.mark.parametrize("line", ["[1]"])
+    def test_list_runs_skips_records_that_are_not_objects(self, tmp_path, line):
+        registry = RunRegistry(root=tmp_path)
+        first = registry.record("bench", "a", results={"x": 1})
+        with open(registry.index_path, "a") as index:
+            index.write(line + "\n")
+        second = registry.record("attack", "b", results={"x": 2})
+        assert [row["run_id"] for row in registry.list_runs()] == [first, second]
 
     def test_unknown_run_id_raises(self, tmp_path):
         registry = RunRegistry(root=tmp_path)

@@ -239,16 +239,26 @@ class TestCertificates:
         certs = self.certs()
         waived = {w["module"]: w["reason"] for w in certs["execute_job"]["waivers"]}
         # execute() runs the serial runner only, so the lock-step backend
-        # (repro.exec.batch) and the engine's span profiler are outside
-        # the execute_job closure; the batched entry point waives them.
+        # (repro.exec.batch) is outside the execute_job closure; the
+        # batched entry point waives it.
         assert set(waived) == {"repro", "repro.exec.jobs", "repro.telemetry"}
         assert "code_salt()" in waived["repro.exec.jobs"]
         batched = {
             w["module"]: w["reason"]
             for w in certs["execute_jobs_batched"]["waivers"]
         }
-        assert "repro.exec.batch" in batched
+        assert set(batched) == {
+            "repro", "repro.exec.batch", "repro.exec.jobs", "repro.telemetry",
+        }
         assert "MAYA043" in batched["repro.exec.batch"]
+        # No simulation entry point reaches past the recorder facade into
+        # a telemetry submodule (the retired wall-clock span profiler was
+        # the last one the batched closure waived).
+        for name, cert in certs.items():
+            assert not any(
+                module.startswith("repro.telemetry.")
+                for module in cert["closure_modules"]
+            ), name
 
     def test_job_key_accounts_for_every_field(self):
         job_key = self.certs()["execute_job"]["job_key"]

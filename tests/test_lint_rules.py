@@ -26,7 +26,6 @@ class TestRegistry:
             "MAYA030",
             "MAYA031",
             "MAYA032",
-            "MAYA033",
         )
 
 
@@ -552,67 +551,3 @@ class TestSuppression:
         assert 1 not in supp
         assert supp[2] is None
         assert supp[3] == frozenset({"MAYA001", "MAYA002"})
-
-
-class TestProfilerIsolation:
-    SIM_PATH = "src/repro/control/example.py"
-
-    def test_import_of_profile_module_is_flagged(self):
-        src = """\
-        from ..telemetry import profile
-        __all__ = []
-        """
-        assert "MAYA033" in rule_ids(src, path=self.SIM_PATH)
-
-    def test_absolute_import_of_profile_module_is_flagged(self):
-        src = """\
-        import repro.telemetry.profile
-        __all__ = []
-        """
-        assert "MAYA033" in rule_ids(src, path=self.SIM_PATH)
-
-    def test_import_from_profile_module_is_flagged(self):
-        src = """\
-        from repro.telemetry.profile import span
-        __all__ = []
-        """
-        assert "MAYA033" in rule_ids(src, path=self.SIM_PATH)
-
-    def test_profiler_symbol_from_telemetry_is_flagged(self):
-        src = """\
-        from repro.telemetry import set_profiler
-        __all__ = []
-        def install(p):
-            set_profiler(p)
-        """
-        assert "MAYA033" in rule_ids(src, path=self.SIM_PATH)
-
-    def test_even_fire_and_forget_span_call_is_flagged(self):
-        # MAYA032 sanctions bare telemetry call statements; MAYA033 does
-        # not extend that grace to the profiler.
-        src = """\
-        from .. import telemetry
-        __all__ = []
-        def step(error):
-            telemetry.profile.span("kernel")
-        """
-        assert "MAYA033" in rule_ids(src, path=self.SIM_PATH)
-
-    def test_plain_telemetry_calls_stay_clean(self):
-        src = """\
-        from .. import telemetry
-        __all__ = []
-        def step(error):
-            telemetry.count("control.steps")
-        """
-        assert rule_ids(src, path=self.SIM_PATH) == []
-
-    def test_engine_layer_is_exempt(self):
-        src = """\
-        from ..telemetry import profile
-        __all__ = []
-        def run(job):
-            with profile.span("job"):
-                return job
-        """
-        assert rule_ids(src, path="src/repro/exec/example.py") == []

@@ -142,6 +142,25 @@ class TestCli:
         assert telemetry_cli(["summarize", str(recorder.root)]) == 0
         assert capsys.readouterr().out.count("== ") == 2
 
+    def test_summarize_accepts_telemetry_dirs(self, tmp_path, capsys):
+        tdir = tmp_path / "telemetry"
+        tdir.mkdir()
+        (tdir / "ops.jsonl").write_text("".join(
+            json.dumps({"type": "ops", "seq": seq, "ev": name}) + "\n"
+            for seq, name in enumerate(("run.begin", "job.cached", "run.end"))
+        ))
+        registry = MetricsRegistry()
+        registry.count("exec.cache.hits", 3)
+        (tdir / "metrics.json").write_text(json.dumps(registry.render()))
+        assert telemetry_cli(["summarize", str(tdir)]) == 0
+        out = capsys.readouterr().out
+        assert "ops.jsonl" in out and "job.cached" in out
+        assert "exec.cache.hits" in out
+        # A directory holding neither artifact is an error, not a silent no-op.
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert telemetry_cli(["summarize", str(empty)]) == 2
+
     def test_summarize_missing_file_is_error(self, capsys):
         assert telemetry_cli(["summarize", "no/such/file.jsonl"]) == 2
 
