@@ -1,12 +1,12 @@
 """Vectorized batched simulation backend: whole fleets advance lock-step.
 
 The serial runner (:func:`repro.core.runtime.run_session`) pays the full
-Python control-loop cost once per 20 ms interval per session.  For the
-fixed-duration fleets every experiment collects (attack training runs,
-detection sweeps, PLATYPUS grids) the sessions are mutually independent and
-share the same interval grid, so each interval's work — the phase walk,
-the tick-level physics and the Maya wake-up — runs as ``(B, ...)`` array
-kernels over the whole fleet:
+Python control-loop cost once per 20 ms interval per session.  The sessions
+every experiment collects (fixed-length attack training runs, detection
+sweeps, PLATYPUS grids, run-to-completion overhead measurements) are
+mutually independent and share an interval grid, so each interval's work —
+the phase walk, the tick-level physics and the Maya wake-up — runs as
+``(B, ...)`` array kernels over the fleet of live sessions:
 
 * each session keeps its own :class:`~repro.machine.SimulatedMachine`
   (phase cursors, jittered workload, RNG streams) and its own defense
@@ -34,18 +34,23 @@ expression order elementwise.  :meth:`Trace.equals` is the oracle — the
 engine's tests compare every batched trace bit-for-bit against the serial
 runner, so cached traces, attack outcomes, and figures are unchanged.
 
-Jobs that cannot run lock-step — completion-mode sessions (``duration_s
-is None``, the loop length depends on per-session progress) and
-temperature-recording sessions — fall back to the serial runner; see
+**Per-row termination.**  Every row carries the serial loop's end
+conditions: its interval cap and, for a completion-mode session
+(``duration_s is None``), a deadline ``tail_s`` after its workload
+completes.  A row that ends leaves the fleet at the top of the next
+interval, so a completion group costs what its live rows cost, not what
+its slowest row costs.  Only temperature-recording sessions fall back to
+the serial runner (their thermal state is not batched); see
 :func:`batch_key`.
 
-**Shape contract.**  Because a lock-step group shares one ``batch_key``
-(same duration, tick and interval grid), every trace it returns has
+**Shape contract.**  A fixed-duration group shares one ``batch_key``
+(same duration, tick and interval grid), so every trace it returns has
 identical ``power_w``/``measured_w``/``target_w``/``settings`` shapes.
 The trace store relies on this: :meth:`TraceCache.put_many
-<repro.exec.cache.TraceCache.put_many>` stacks a group's traces into a
-single packed ``.npz`` entry, which is only possible when the shapes
-line up row-for-row.
+<repro.exec.cache.TraceCache.put_many>` stacks such a group's traces into
+a single packed ``.npz`` entry, which is only possible when the shapes
+line up row-for-row.  A completion group's traces end at different
+intervals and are stored as per-session entries.
 """
 
 from __future__ import annotations
@@ -78,14 +83,18 @@ def batch_key(job: SessionJob) -> "tuple | None":
     """Grouping key of jobs that may share one lock-step batch.
 
     Sessions advance lock-step only when they share the same platform and
-    the same tick/interval/duration grid.  Completion-mode jobs
-    (``duration_s is None``) and temperature-recording jobs return ``None``
-    and fall back to the serial runner: their per-session loop lengths and
-    thermal state are not lock-step computable without relaxing
-    bit-identity.
+    the same tick/interval grid.  Fixed-duration jobs also share their
+    duration and cap, so a group's traces have one shape.  Completion-mode
+    jobs (``duration_s is None``) key on the grid alone: their cap
+    (``max_duration_s``) and ``tail_s`` are per-row end conditions of
+    :func:`_run_lockstep`, and a completion job never shares a key with a
+    fixed-duration one.  Temperature-recording jobs return ``None`` and
+    fall back to the serial runner: their thermal state is not batched.
     """
-    if job.duration_s is None or job.record_temperature:
+    if job.record_temperature:
         return None
+    if job.duration_s is None:
+        return (job.spec, None, float(job.interval_s), float(job.tick_s))
     return (
         job.spec,
         float(job.duration_s),
@@ -217,18 +226,38 @@ def execute_jobs_batched(
     keys = {batch_key(job) for job in jobs}
     if None in keys or len(keys) != 1:
         raise ValueError("jobs of one batch must share a batch_key")
+    limits = [_interval_limits(job) for job in jobs]
 
     machines, defenses, sensors = build_fleet(jobs, factory)
-
-    template = jobs[0]
     return _run_lockstep(
-        machines,
-        defenses,
-        sensors,
-        interval_s=float(template.interval_s),
-        duration_s=float(template.duration_s),
-        max_duration_s=float(template.max_duration_s),
+        machines, defenses, sensors, float(jobs[0].interval_s), limits
     )
+
+
+def _interval_limits(job: SessionJob) -> "tuple[int, int | None]":
+    """``(interval cap, tail intervals)``: a job's end conditions in intervals.
+
+    The same arithmetic as :func:`repro.core.runtime.run_session`; the tail
+    is ``None`` for a fixed-duration job, which ends at its cap alone.
+    """
+    interval_s = float(job.interval_s)
+    n_intervals = None
+    if job.duration_s is not None:
+        n_intervals = int(round(job.duration_s / interval_s))
+        if n_intervals < 1:
+            raise ValueError("duration_s shorter than one interval")
+    max_intervals = int(round(job.max_duration_s / interval_s))
+    if max_intervals < 1:
+        raise ValueError("max_duration_s shorter than one interval")
+    if n_intervals is None:
+        return max_intervals, int(round(job.tail_s / interval_s))
+    return min(n_intervals, max_intervals), None
+
+
+#: Intervals of per-row log buffered before it is flushed to the row's
+#: chunks.  Bounds the fleet buffer of a completion group, whose caps can
+#: run to tens of thousands of intervals, to ``B * 256`` intervals.
+_BLOCK_INTERVALS = 256
 
 
 def _run_lockstep(
@@ -236,44 +265,100 @@ def _run_lockstep(
     defenses: "list",
     sensors: "list[RaplSensor]",
     interval_s: float,
-    duration_s: float,
-    max_duration_s: float,
+    limits: "list[tuple[int, int | None]]",
 ) -> "list[Trace]":
-    """The lock-step twin of :func:`repro.core.runtime.run_session`."""
-    n_sessions = len(machines)
-    n_intervals = int(round(duration_s / interval_s))
-    if n_intervals < 1:
-        raise ValueError("duration_s shorter than one interval")
-    max_intervals = int(round(max_duration_s / interval_s))
-    if max_intervals < 1:
-        raise ValueError("max_duration_s shorter than one interval")
-    interval_cap = min(n_intervals, max_intervals)
+    """The lock-step twin of :func:`repro.core.runtime.run_session`.
 
+    ``limits`` holds each row's :func:`_interval_limits`.  At the top of
+    every interval each live row checks its end conditions as the serial
+    loop does — its own cap, and for a completion row the deadline
+    ``tail`` intervals after the machine first reports ``completed`` — and
+    rows that end leave the fleet: the batched machine and sensor are
+    rebuilt over the live rows, and only live defenses decide.  All state
+    lives on per-session objects, so the rows that stay are unaffected.
+
+    The live rows' logs fill a fleet block of at most
+    :data:`_BLOCK_INTERVALS` intervals, flushed to per-row chunks whenever
+    the block is full or the live set changes; a row's chunks are joined
+    into its trace arrays as it leaves.
+    """
+    n_sessions = len(machines)
+    tick_s = machines[0].tick_s
+    ticks_per_interval = int(round(interval_s / tick_s))
+    block = min(max(cap for cap, _ in limits), _BLOCK_INTERVALS)
+    power_block = np.empty((n_sessions, block * ticks_per_interval))
+    measured_block = np.empty((n_sessions, block))
+    target_block = np.empty((n_sessions, block))
+    settings_block = np.empty((n_sessions, block, 3))
+    chunks: "list[list | None]" = [[] for _ in range(n_sessions)]
+    logs: "list[list | None]" = [None] * n_sessions
+    deadlines: "list[int | None]" = [None] * n_sessions
+
+    live = list(range(n_sessions))
     batched_machine = BatchedMachine(machines)
     batched_sensor = BatchedRaplSensor(sensors)
-    tick_s = batched_machine.tick_s
-    ticks_per_interval = int(round(interval_s / tick_s))
-
-    power_w = np.empty((n_sessions, interval_cap * ticks_per_interval))
-    measured_w = np.empty((n_sessions, interval_cap))
-    target_w = np.empty((n_sessions, interval_cap))
-    settings_log = np.empty((n_sessions, interval_cap, 3))
-
+    live_defenses = list(defenses)
     settings = [defense.initial_settings() for defense in defenses]
-    for interval_index in range(interval_cap):
+    interval_index = 0
+    filled = 0
+    while True:
+        ended = set()
+        for row in live:
+            cap, tail = limits[row]
+            if interval_index >= cap:
+                ended.add(row)
+            elif tail is not None:
+                if deadlines[row] is None and machines[row].completed:
+                    deadlines[row] = interval_index + tail
+                if deadlines[row] is not None and interval_index >= deadlines[row]:
+                    ended.add(row)
+        if ended or filled == block:
+            n_ticks = filled * ticks_per_interval
+            for position, row in enumerate(live):
+                chunks[row].append((
+                    power_block[position, :n_ticks].copy(),
+                    measured_block[position, :filled].copy(),
+                    target_block[position, :filled].copy(),
+                    settings_block[position, :filled].copy(),
+                ))
+                if row in ended:
+                    # Join a row's chunks as it leaves, so the memory they
+                    # free serves the chunks of the rows still running.
+                    logs[row] = [
+                        parts[0] if len(parts) == 1 else np.concatenate(parts)
+                        for parts in zip(*chunks[row])
+                    ]
+                    chunks[row] = None
+            filled = 0
+        if ended:
+            settings = [
+                applied for row, applied in zip(live, settings) if row not in ended
+            ]
+            live = [row for row in live if row not in ended]
+            if not live:
+                break
+            batched_machine = BatchedMachine([machines[row] for row in live])
+            batched_sensor = BatchedRaplSensor([sensors[row] for row in live])
+            live_defenses = [defenses[row] for row in live]
+
         window_w = batched_machine.advance(interval_s, settings)
         measurements_w = batched_sensor.measure_windows(window_w, tick_s)
 
-        tick_start = interval_index * ticks_per_interval
-        power_w[:, tick_start:tick_start + ticks_per_interval] = window_w
-        measured_w[:, interval_index] = measurements_w
-        target_w[:, interval_index] = [defense.current_target_w for defense in defenses]
-        settings_log[:, interval_index] = [
+        n_live = len(live)
+        tick_start = filled * ticks_per_interval
+        power_block[:n_live, tick_start:tick_start + ticks_per_interval] = window_w
+        measured_block[:n_live, filled] = measurements_w
+        target_block[:n_live, filled] = [
+            defense.current_target_w for defense in live_defenses
+        ]
+        settings_block[:n_live, filled] = [
             (applied.freq_ghz, applied.idle_frac, applied.balloon_level)
             for applied in settings
         ]
 
-        settings = decide_batch(defenses, measurements_w)
+        settings = decide_batch(live_defenses, measurements_w)
+        filled += 1
+        interval_index += 1
 
     return [
         Trace(
@@ -282,12 +367,14 @@ def _run_lockstep(
             defense=defense.name,
             tick_s=machine.tick_s,
             interval_s=interval_s,
-            power_w=power_w[row].copy(),
-            measured_w=measured_w[row].copy(),
-            target_w=target_w[row].copy(),
-            settings=settings_log[row].copy(),
+            power_w=power_w,
+            measured_w=measured_w,
+            target_w=target_w,
+            settings=settings_log,
             completed_at_s=machine.completed_at_s,
             temperature_c=np.empty(0),
         )
-        for row, (machine, defense) in enumerate(zip(machines, defenses))
+        for machine, defense, (power_w, measured_w, target_w, settings_log) in zip(
+            machines, defenses, logs
+        )
     ]

@@ -134,6 +134,14 @@ def _env_max_bytes() -> float:
     return max_mb * 1e6
 
 
+def _entry_bytes(record: dict) -> int:
+    """The ``bytes`` count of a journal record; a negative count raises."""
+    nbytes = int(record.get("bytes") or 0)
+    if nbytes < 0:
+        raise ValueError(f"journal {record.get('op')}: negative bytes {nbytes}")
+    return nbytes
+
+
 def _is_group(entry_id: str) -> bool:
     return entry_id.startswith("g-")
 
@@ -262,8 +270,9 @@ class TraceCache:
         """Fold one journal record into the in-memory state.
 
         Every field is parsed before any state changes, so a record whose
-        fields do not parse raises (``TypeError``/``ValueError``/
-        ``OverflowError``) and leaves the state as it was.
+        fields do not parse, or whose ``bytes`` count is negative, raises
+        (``TypeError``/``ValueError``/``OverflowError``) and leaves the state
+        as it was.
         """
         op = record.get("op")
         if op == "put":
@@ -274,7 +283,7 @@ class TraceCache:
             if not isinstance(keys, list):
                 raise TypeError(f"journal put {entry_id}: keys is not a list")
             keys = tuple(k for k in keys if isinstance(k, str))
-            nbytes = int(record.get("bytes") or 0)
+            nbytes = _entry_bytes(record)
             old = self._entries.pop(entry_id, None)
             if old is not None:
                 self._total_bytes -= old[0]
@@ -291,7 +300,7 @@ class TraceCache:
             # certificate sidecars still carry these records.
             entry = self._entries.get(record.get("id"))
             if entry is not None:
-                nbytes = int(record.get("bytes") or 0)
+                nbytes = _entry_bytes(record)
                 self._total_bytes += nbytes - entry[0]
                 entry[0] = nbytes
         elif op == "evict":

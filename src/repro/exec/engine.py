@@ -8,10 +8,10 @@ specs through :func:`run_sessions`, which
   :func:`choose_backend`), a plain in-process loop (``"serial"``), or the
   vectorized lock-step backend (``"batch"``, :mod:`repro.exec.batch`);
 * consults the content-addressed trace cache before simulating anything;
-* under the batch backend, groups compatible fixed-duration jobs by
-  :func:`~repro.exec.batch.batch_key` and advances each group lock-step,
-  falling back to the serial runner for jobs that cannot batch
-  (completion-mode or temperature-recording sessions);
+* under the batch backend, groups compatible jobs — fixed-duration and
+  run-to-completion alike — by :func:`~repro.exec.batch.batch_key` and
+  advances each group lock-step, falling back to the serial runner for
+  temperature-recording sessions, which cannot batch;
 * returns the traces **strictly in job order**.
 
 Determinism guarantee (tested): ``run_sessions(jobs, backend=b)`` returns
@@ -68,9 +68,11 @@ def choose_backend(jobs) -> str:
     backend slower than serial:
 
     * one (or zero) jobs: ``"serial"`` — nothing to amortize;
-    * a majority of jobs groupable by :func:`batch_key`: ``"batch"`` —
-      lock-step vectorization wins even on one core (measured ≥2x on the
-      smoke bench) and batches of ≥2 amortize its setup;
+    * a majority of jobs groupable by :func:`batch_key` (every job but a
+      temperature-recording one): ``"batch"`` — lock-step vectorization
+      wins even on one core (measured ≥2x on the smoke bench, and 2x on
+      Fig. 14's run-to-completion sessions) and batches of ≥2 amortize
+      its setup;
     * else ``"serial"``.
     """
     jobs = list(jobs)
@@ -163,8 +165,10 @@ def _execute_batched(jobs, pending, results, factory, cache):
     dict, so grouping — like everything else in this layer — is a pure
     function of job order (MAYA030).  Each group is chunked to
     :data:`BATCH_SIZE` sessions and simulated by
-    :func:`execute_jobs_batched`; ungroupable jobs (completion-mode,
-    temperature-recording) run through the ordinary serial runner.  Results land at their job's index either way.
+    :func:`execute_jobs_batched`, completion-mode groups included (each
+    row leaves its chunk at its own deadline); ungroupable jobs
+    (temperature-recording) run through the ordinary serial runner.
+    Results land at their job's index either way.
     """
     groups: dict = {}
     ungroupable: list = []

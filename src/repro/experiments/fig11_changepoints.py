@@ -25,10 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..analysis import pelt
-from ..core.runtime import make_machine, run_session
 from ..defenses.designs import DefenseFactory
+from ..exec import SessionJob, run_sessions
 from ..machine import SYS1, PlatformSpec
-from ..workloads import parsec_program
 from .common import make_factory, sample_rapl
 from .config import ExperimentScale, get_scale
 
@@ -170,6 +169,25 @@ def run(
     if factory is None:
         factory = make_factory(spec, scale, seed=seed)
 
+    # Every (design, run) session is independent, so the whole grid is
+    # submitted as one batch and analysed afterwards.
+    jobs = [
+        SessionJob.for_factory(
+            factory,
+            spec=spec,
+            workload=workload,
+            defense=defense,
+            seed=seed,
+            run_id=("fig11", defense, run_index),
+            duration_s=None,
+            max_duration_s=200.0,
+            tail_s=6.0,
+        )
+        for defense in defenses
+        for run_index in range(n_runs)
+    ]
+    sessions = iter(zip(jobs, run_sessions(jobs, factory=factory)))
+
     per_defense: dict[str, DefenseChangepoints] = {}
     for defense in defenses:
         recalls = []
@@ -179,17 +197,9 @@ def run(
         first_true = np.empty(0)
         first_completion = float("nan")
         for run_index in range(n_runs):
-            run_id = ("fig11", defense, run_index)
-            machine = make_machine(
-                spec, parsec_program(workload), seed=seed, run_id=run_id
-            )
-            program = machine.workload  # post-jitter program
-            trace = run_session(
-                machine, factory.create(defense),
-                seed=seed, run_id=run_id,
-                duration_s=None, max_duration_s=200.0, tail_s=6.0,
-            )
-            sampled = sample_rapl(trace, seed, run_id)
+            job, trace = next(sessions)
+            program = job.build_machine().workload  # post-jitter program
+            sampled = sample_rapl(trace, seed, job.run_id)
             penalty = PENALTY_FACTOR * 3.0 * np.log(sampled.size)
             detected_s = (
                 np.asarray(pelt(sampled, penalty=penalty, min_size=MIN_SIZE), dtype=float)

@@ -73,8 +73,32 @@ class TestBatchKey:
         b = make_job(workload="water_nsquared", defense="random_inputs", seed=3)
         assert batch_key(a) == batch_key(b) is not None
 
-    def test_completion_mode_is_ungroupable(self):
-        assert batch_key(make_job(duration_s=None)) is None
+    def test_completion_jobs_share_a_key_across_caps_and_tails(self):
+        """Cap and tail are per-row end conditions, not grouping keys."""
+        a = make_job(duration_s=None, max_duration_s=30.0, tail_s=0.2)
+        b = make_job(
+            workload="water_nsquared", defense="random_inputs", seed=3,
+            duration_s=None, max_duration_s=90.0, tail_s=6.0,
+        )
+        assert batch_key(a) == batch_key(b) is not None
+        assert batch_key(make_job(duration_s=None, spec=SYS1)) != batch_key(
+            make_job(duration_s=None, spec=SYS2)
+        )
+
+    def test_completion_jobs_never_share_a_key_with_fixed_duration(self):
+        completion_keys = {
+            batch_key(make_job(duration_s=None, max_duration_s=cap, tail_s=tail))
+            for cap in (1.0, 16.0, 600.0)
+            for tail in (0.0, 2.0)
+        }
+        fixed_keys = {
+            batch_key(make_job(duration_s=duration, max_duration_s=cap, tail_s=tail))
+            for duration in (1.0, 16.0, 600.0)
+            for cap in (1.0, 16.0, 600.0)
+            for tail in (0.0, 2.0)
+        }
+        assert None not in completion_keys | fixed_keys
+        assert not completion_keys & fixed_keys
 
     def test_temperature_recording_is_ungroupable(self):
         assert batch_key(make_job(record_temperature=True)) is None
@@ -131,6 +155,65 @@ class TestBitIdentity:
         for a, b in zip(serial, batched):
             assert a.equals(b)
 
+    @pytest.mark.parametrize("spec", [SYS1, SYS2, SYS3], ids=["sys1", "sys2", "sys3"])
+    def test_completion_rows_leave_at_their_own_deadline(self, spec):
+        """Rows finish at different intervals, one with no tail; one is capped."""
+        jobs = [
+            make_job(
+                workload="loop_imul", workload_kwargs={"duration_s": work_s},
+                defense=defense, spec=spec, seed=5, run=run,
+                duration_s=None, max_duration_s=4.0, tail_s=tail_s,
+            )
+            for run, (work_s, defense, tail_s) in enumerate((
+                (0.3, "baseline", 0.2),
+                (0.9, "noisy_baseline", 0.0),
+                (0.6, "random_inputs", 0.5),
+            ))
+        ]
+        jobs.append(make_job(spec=spec, seed=5, run=3, duration_s=None, max_duration_s=0.5))
+        batched = execute_jobs_batched(jobs)
+        assert len({trace.measured_w.size for trace in batched}) == len(jobs)
+        assert all(trace.completed for trace in batched[:-1])
+        assert not batched[-1].completed  # capped: completed_at_s is NaN
+        assert batched[1].duration_s == pytest.approx(
+            batched[1].completed_at_s, abs=batched[1].interval_s
+        )
+        for job, trace in zip(jobs, batched):
+            assert trace.equals(job.execute())
+
+    def test_completion_group_of_one_matches_serial(self, sys1_factory):
+        job = SessionJob.for_factory(
+            sys1_factory, workload="loop_xor", workload_kwargs={"duration_s": 0.5},
+            defense="maya_gs", seed=7, run_id="batch-one",
+            duration_s=None, max_duration_s=5.0, tail_s=0.2,
+        )
+        [trace] = execute_jobs_batched([job], factory=sys1_factory)
+        assert trace.completed
+        assert trace.equals(job.execute(factory=sys1_factory))
+
+    def test_completion_rows_mixed_with_maya_gs_match_serial(self, sys1_factory):
+        """Maya rows leave a shared controller fleet while others stay in it."""
+        jobs = [
+            SessionJob.for_factory(
+                sys1_factory, workload="loop_mov", workload_kwargs={"duration_s": work_s},
+                defense=defense, seed=seed, run_id=("batch-maya-completion", seed),
+                duration_s=None, max_duration_s=cap_s, tail_s=tail_s,
+            )
+            for work_s, defense, seed, cap_s, tail_s in (
+                (0.4, "maya_gs", 1, 5.0, 0.2),
+                (0.8, "baseline", 2, 5.0, 0.0),
+                (0.6, "maya_gs", 3, 5.0, 0.4),
+                (0.5, "maya_constant", 4, 5.0, 0.2),
+                (3.0, "maya_gs", 5, 0.6, 0.2),
+                (1.0, "maya_gs", 6, 5.0, 0.0),
+            )
+        ]
+        batched = execute_jobs_batched(jobs, factory=sys1_factory)
+        assert len({trace.measured_w.size for trace in batched}) > 1
+        assert not batched[4].completed
+        for job, trace in zip(jobs, batched):
+            assert trace.equals(job.execute(factory=sys1_factory))
+
     def test_target_and_settings_logs_match(self, sys1_factory):
         """The per-interval logs (mask targets, actuations) are replayed too."""
         job = SessionJob.for_factory(
@@ -179,6 +262,7 @@ class TestEngineIntegration:
             make_job(workload="volrend", duration_s=1.0),
             make_job(workload="water_nsquared", duration_s=None, max_duration_s=1.0),
             make_job(workload="water_nsquared", duration_s=2.0),
+            make_job(workload="volrend", duration_s=0.5, record_temperature=True),
             make_job(workload="volrend", duration_s=1.0, run=1),
         ]
         serial = run_sessions(jobs, cache=False, backend="serial")

@@ -346,6 +346,22 @@ class TestJournal:
         assert stats["entries"] == 2
         assert stats["total_bytes"] == cache.stats()["total_bytes"]
 
+    def test_negative_bytes_record_is_skipped(self, tmp_path):
+        """A negative size cannot drive the total below zero and stop eviction."""
+        (tmp_path / "journal.jsonl").write_text(
+            '{"op":"put","id":"a","bytes":10,"keys":["ka"]}\n'
+            '{"op":"put","id":"n","bytes":-1000000000000,"keys":[]}\n'
+        )
+        cache = TraceCache(root=tmp_path, max_bytes=100)
+        stats = cache.stats()
+        assert stats["total_bytes"] == 10
+        assert stats["entries"] == 1
+        job = tiny_job()
+        cache.put(job, job.execute())
+        assert cache.evictions == 1
+        assert [entry_id for entry_id in cache._entries] == [job.key()]
+        assert cache.stats()["total_bytes"] == cache._path(job).stat().st_size
+
 
 class TestCli:
     def test_stats_command(self, tmp_path, capsys):

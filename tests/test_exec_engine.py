@@ -1,5 +1,7 @@
 """Tests for repro.exec.engine (backend choice, job order, cache integration)."""
 
+from dataclasses import replace
+
 from repro.exec import (
     SessionJob,
     TraceCache,
@@ -33,9 +35,11 @@ class TestChooseBackend:
         assert choose_backend(batch_jobs(n_runs=2)) == "batch"
 
     def test_unbatchable_majority_is_serial(self):
-        # Completion-mode jobs cannot batch, and the serial loop is the
-        # only other backend.
-        assert choose_backend(batch_jobs(n_runs=2, duration_s=None)) == "serial"
+        # Temperature-recording jobs cannot batch, and the serial loop is
+        # the only other backend.
+        jobs = [replace(job, record_temperature=True) for job in batch_jobs(n_runs=2)]
+        assert choose_backend(jobs) == "serial"
+        assert choose_backend(jobs + batch_jobs(n_runs=1)) == "serial"
 
 
 class TestDeterminism:

@@ -113,6 +113,15 @@ class TestFig14:
     def test_baseline_reference_recorded(self, result):
         assert set(result.baseline_power_w) == set(result.power_ratio["maya_gs"])
 
+    def test_serial_and_batch_backends_agree(self, result, sys1_factory, monkeypatch):
+        """The run-to-completion sessions give one result on either loop."""
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        for backend in ("serial", "batch"):
+            monkeypatch.setenv("REPRO_BACKEND", backend)
+            assert EXPERIMENTS["fig14"].run(
+                scale="smoke", seed=2, factory=sys1_factory
+            ) == result, backend
+
 
 class TestFig11:
     @pytest.fixture(scope="class")
